@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analyze/detail.hpp"
+#include "base/error.hpp"
 #include "base/json.hpp"
 #include "base/strings.hpp"
 #include "graph/algorithms.hpp"
@@ -50,42 +51,12 @@ Weight zero_profile_delay(const cg::ConstraintGraph& g, VertexId v) {
 
 namespace detail {
 
-std::vector<int> forward_topo_order(const cg::ConstraintGraph& g) {
-  const int n = g.vertex_count();
-  std::vector<int> indegree(static_cast<std::size_t>(n), 0);
-  for (const cg::Edge& e : g.edges()) {
-    if (cg::is_forward(e.kind)) ++indegree[e.to.index()];
-  }
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    if (indegree[static_cast<std::size_t>(v)] == 0) order.push_back(v);
-  }
-  for (std::size_t head = 0; head < order.size(); ++head) {
-    for (EdgeId eid : g.out_edges(VertexId(order[head]))) {
-      const cg::Edge& e = g.edge(eid);
-      if (!cg::is_forward(e.kind)) continue;
-      if (--indegree[e.to.index()] == 0) order.push_back(e.to.value());
-    }
-  }
-  if (static_cast<int>(order.size()) != n) order.clear();
-  return order;
-}
-
 std::vector<Weight> zero_profile_start_times(
     const cg::ConstraintGraph& g, const anchors::AnchorAnalysis& analysis,
     const std::vector<int>& topo) {
   std::vector<Weight> t0(static_cast<std::size_t>(g.vertex_count()), 0);
-  for (const int node : topo) {
-    const VertexId v(node);
-    if (v == g.source()) continue;
-    Weight t = 0;
-    for (const VertexId a : analysis.anchor_set(v)) {
-      t = std::max(t, t0[a.index()] + zero_profile_delay(g, a) +
-                          analysis.length(a, v));
-    }
-    t0[v.index()] = t;
-  }
+  const std::vector<VertexId> order(topo.begin(), topo.end());
+  patch_zero_profile_start_times(g, analysis, order, t0);
   return t0;
 }
 
@@ -225,9 +196,10 @@ Report analyze(const cg::ConstraintGraph& g,
     }
   }
 
-  const std::vector<int> topo = detail::forward_topo_order(g);
+  const auto topo = g.forward_topo_order();
+  RELSCHED_CHECK(topo.has_value(), "analyze requires an acyclic Gf");
   const std::vector<Weight> t0 =
-      detail::zero_profile_start_times(g, *analysis, topo);
+      detail::zero_profile_start_times(g, *analysis, *topo);
   for (const cg::Edge& e : g.edges()) {
     if (e.kind == cg::EdgeKind::kSequencing) continue;
     r.slacks.push_back(detail::constraint_slack(g, *analysis, t0, e.id));
@@ -367,53 +339,6 @@ std::vector<EdgeId> membership_tree(const cg::ConstraintGraph& g, VertexId a) {
   return par;
 }
 
-/// Longest paths from `a` within its cone, with predecessor edges.
-/// Replicates AnchorAnalysis' cone computation -- cone = {a} union
-/// {v : a in A(v)}, every edge with both endpoints inside, unbounded
-/// weights 0 -- via label-correcting Bellman-Ford. The cone of a
-/// feasible graph has no positive cycle, so dist converges to the
-/// unique longest-path fixpoint (== length(a, .)) and the
-/// strict-improvement pred pointers form a tree rooted at `a`: a
-/// pointer is only written when dist strictly rises, so following
-/// pointers backwards strictly descends through update times and can
-/// never cycle, even across zero-weight cycles.
-void cone_preds(const cg::ConstraintGraph& g,
-                const anchors::AnchorAnalysis& analysis, VertexId a,
-                std::vector<Weight>& dist, std::vector<EdgeId>& pred) {
-  const int n = g.vertex_count();
-  dist.assign(static_cast<std::size_t>(n), kNegInf);
-  pred.assign(static_cast<std::size_t>(n), EdgeId::invalid());
-  std::vector<char> cone(static_cast<std::size_t>(n), 0);
-  cone[a.index()] = 1;
-  for (int i = 0; i < n; ++i) {
-    if (analysis.anchor_set(VertexId(i)).contains(a)) {
-      cone[static_cast<std::size_t>(i)] = 1;
-    }
-  }
-  std::vector<EdgeId> cone_edges;
-  for (const cg::Edge& e : g.edges()) {
-    if (cone[e.from.index()] != 0 && cone[e.to.index()] != 0) {
-      cone_edges.push_back(e.id);
-    }
-  }
-  dist[a.index()] = 0;
-  for (int pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (const EdgeId eid : cone_edges) {
-      const cg::Edge& e = g.edge(eid);
-      if (dist[e.from.index()] == kNegInf) continue;
-      const Weight cand =
-          graph::saturating_add(dist[e.from.index()], g.weight(eid).value);
-      if (cand > dist[e.to.index()]) {
-        dist[e.to.index()] = cand;
-        pred[e.to.index()] = eid;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-}
-
 /// Walks a parent/pred chain from `v` back to `a`, marking every edge.
 /// False on a broken chain (internal error; certification would fail).
 bool walk_chain(const cg::ConstraintGraph& g, const std::vector<EdgeId>& par,
@@ -453,7 +378,6 @@ std::string close_scheduled(const cg::ConstraintGraph& g,
   }
 
   std::vector<VertexId> round, members;
-  std::vector<Weight> dist;
   std::vector<EdgeId> pred;
   while (!mark.fresh.empty()) {
     round.clear();
@@ -465,7 +389,9 @@ std::string close_scheduled(const cg::ConstraintGraph& g,
       }
       if (members.empty()) continue;
       const std::vector<EdgeId> memb = membership_tree(g, a);
-      cone_preds(g, analysis, a, dist, pred);
+      // Length-realizing cone paths: the predecessor tree of
+      // length(a, .) under the kernel's order contract.
+      (void)anchors::cone_longest_paths(g, analysis.anchor_sets(), a, &pred);
       for (const VertexId v : members) {
         if (!walk_chain(g, memb, a, v, mark)) {
           return cat("no membership path from anchor '", g.vertex(a).name,

@@ -15,11 +15,6 @@
 
 namespace relsched::analyze::detail {
 
-/// Kahn's algorithm over the forward subgraph (mirrors the certifier's
-/// independent order; the analysis must not borrow the scheduler's).
-/// Empty result = cycle (with vertices present).
-[[nodiscard]] std::vector<int> forward_topo_order(const cg::ConstraintGraph& g);
-
 /// Zero-profile start times off the anchor analysis, via the Theorem 3
 /// identity sigma_a^min(v) = length(a, v):
 ///   T0(v) = max(0, max_{a in A(v)} T0(a) + d0(a) + length(a, v)),

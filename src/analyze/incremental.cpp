@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
-#include <map>
 #include <utility>
 
 #include "analyze/detail.hpp"
@@ -12,7 +10,8 @@ namespace relsched::analyze {
 
 namespace {
 
-using Sig = std::tuple<int, int, int, int>;
+using Sig = IncrementalAnalyzer::Sig;
+using Carry = engine::CarryOver<Sig>;
 
 Sig edge_sig(const cg::Edge& e) {
   return {static_cast<int>(e.kind), e.from.value(), e.to.value(),
@@ -29,7 +28,7 @@ Report cone_reanalyze(const cg::ConstraintGraph& g,
                       const anchors::AnchorAnalysis& analysis,
                       const std::vector<VertexId>& cone,
                       const std::vector<int>& topo, const Report& prev,
-                      const std::vector<Sig>& prev_sigs,
+                      Carry::Index prev_index,
                       std::vector<graph::Weight>& t0) {
   std::vector<bool> in_cone(static_cast<std::size_t>(g.vertex_count()), false);
   for (const VertexId v : cone) in_cone[v.index()] = true;
@@ -48,28 +47,13 @@ Report cone_reanalyze(const cg::ConstraintGraph& g,
             });
   detail::patch_zero_profile_start_times(g, analysis, cone_topo, t0);
 
-  // Previous records by signature, consumed front-to-back so two
-  // identical constraints (same signature, both out of cone) each get
-  // their own carried record.
-  std::map<Sig, std::deque<std::size_t>> prev_index;
-  for (std::size_t i = 0; i < prev.slacks.size(); ++i) {
-    prev_index[prev_sigs[i]].push_back(i);
-  }
-  const auto take = [&](const Sig& key) -> const ConstraintSlack* {
-    const auto it = prev_index.find(key);
-    if (it == prev_index.end() || it->second.empty()) return nullptr;
-    const std::size_t i = it->second.front();
-    it->second.pop_front();
-    return &prev.slacks[i];
-  };
-
   Report report;
   report.status = Status::kOk;
   for (const cg::Edge& e : g.edges()) {
     if (e.kind == cg::EdgeKind::kSequencing) continue;
     const ConstraintSlack* carried_from = nullptr;
     if (!in_cone[e.from.index()] && !in_cone[e.to.index()]) {
-      carried_from = take(edge_sig(e));
+      carried_from = prev_index.take(edge_sig(e), prev.slacks);
     }
     if (carried_from != nullptr) {
       ConstraintSlack carried = *carried_from;
@@ -89,47 +73,32 @@ const Report& IncrementalAnalyzer::reanalyze(
     engine::SynthesisSession& session) {
   const engine::Products& products = session.resolve();
   const cg::ConstraintGraph& g = session.graph();
-  const long long resolves = session.resolve_count();
 
-  if (valid_ && products.revision == revision_ && resolves == resolves_) {
-    return report_;  // no resolve since the cached report: still current
-  }
-
-  // The cone path is sound only when exactly ONE warm resolve separates
-  // the cached kOk report from the current products: last_dirty_cone()
-  // then bounds every per-vertex product -- and with it every slack
-  // input -- that changed since the report was built.
-  const bool cone_ok = valid_ && report_.ok() && products.ok() &&
-                       session.last_resolve_was_warm() &&
-                       resolves == resolves_ + 1;
-
-  if (cone_ok) {
-    ++cone_analyses_;
-    const Report prev = std::move(report_);
-    const std::vector<Sig> prev_sigs = std::move(sigs_);
-    report_ = cone_reanalyze(g, products.analysis, session.last_dirty_cone(),
-                             products.topo, prev, prev_sigs, t0_);
-  } else {
-    ++full_analyses_;
-    report_ = analyze(g, products.ok() ? &products.analysis : nullptr);
-    if (report_.ok()) {
-      t0_ = detail::zero_profile_start_times(g, products.analysis,
-                                             products.topo);
-    } else {
-      t0_.clear();
+  switch (carry_.plan(session, products, /*cached_ok=*/report_.ok())) {
+    case Carry::Path::kCurrent:
+      return report_;
+    case Carry::Path::kCone: {
+      ++cone_analyses_;
+      const Report prev = std::move(report_);
+      report_ = cone_reanalyze(g, products.analysis, session.last_dirty_cone(),
+                               products.topo, prev, carry_.index(), t0_);
+      break;
     }
+    case Carry::Path::kFull:
+      ++full_analyses_;
+      report_ = analyze(g, products.ok() ? &products.analysis : nullptr);
+      if (report_.ok()) {
+        t0_ = detail::zero_profile_start_times(g, products.analysis,
+                                               products.topo);
+      } else {
+        t0_.clear();
+      }
+      break;
   }
-
-  // Refresh the signatures NOW, while the report's EdgeIds are valid;
-  // by the next reanalyze() they may have been swap-popped away.
-  sigs_.clear();
-  sigs_.reserve(report_.slacks.size());
-  for (const ConstraintSlack& s : report_.slacks) {
-    sigs_.push_back(edge_sig(g.edge(s.edge)));
-  }
-  revision_ = products.revision;
-  resolves_ = resolves;
-  valid_ = true;
+  carry_.store(session, products, report_.slacks,
+               [&g](const ConstraintSlack& s) {
+                 return edge_sig(g.edge(s.edge));
+               });
   return report_;
 }
 

@@ -18,11 +18,11 @@
 // analyze() of the current graph (tests/property_analyze.cpp).
 #pragma once
 
-#include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "analyze/analyze.hpp"
+#include "engine/carry_over.hpp"
 #include "engine/session.hpp"
 
 namespace relsched::analyze {
@@ -40,20 +40,17 @@ class IncrementalAnalyzer {
   [[nodiscard]] int full_analyses() const { return full_analyses_; }
   [[nodiscard]] int cone_analyses() const { return cone_analyses_; }
 
+  /// Stored-orientation signature (kind, from, to, fixed_weight) of a
+  /// cached slack record.
+  using Sig = std::tuple<int, int, int, int>;
+
  private:
   Report report_;
-  /// Stored-orientation signature (kind, from, to, fixed_weight) of
-  /// each cached slack record, parallel to report_.slacks. Computed at
-  /// report build time, while the EdgeIds are valid.
-  std::vector<std::tuple<int, int, int, int>> sigs_;
+  /// Gate and per-record signatures of report_.
+  engine::CarryOver<Sig> carry_;
   /// Zero-profile start times the cached report was computed with;
   /// patched in place inside the dirty cone on the cone path.
   std::vector<graph::Weight> t0_;
-  /// Graph revision + resolve count the cached report was built at;
-  /// the cone path requires exactly one warm resolve in between.
-  std::uint64_t revision_ = 0;
-  long long resolves_ = 0;
-  bool valid_ = false;
   int full_analyses_ = 0;
   int cone_analyses_ = 0;
 };

@@ -6,6 +6,7 @@
 
 #include "base/error.hpp"
 #include "base/thread_pool.hpp"
+#include "cg/longest_paths.hpp"
 
 namespace relsched::anchors {
 
@@ -20,9 +21,29 @@ std::ostream& operator<<(std::ostream& os, const AnchorSetView& view) {
   return os << '}';
 }
 
+namespace {
+
+/// Re-derives A(v) from its forward in-edges (u, v): the union of the
+/// A(u), plus {u} when the edge carries the unbounded weight delta(u).
+/// Equivalent to the paper's counter-based findAnchorSet traversal, one
+/// word-parallel row merge per edge.
+void derive_anchor_set(const cg::ConstraintGraph& g, AnchorSets& sets,
+                       VertexId v) {
+  sets.matrix.clear_row(v.index());
+  for (EdgeId eid : g.in_edges(v)) {
+    const cg::Edge& e = g.edge(eid);
+    if (!cg::is_forward(e.kind)) continue;
+    sets.matrix.merge_row(v.index(), e.from.index());
+    if (g.weight(eid).unbounded) {
+      sets.matrix.set(v.index(), sets.domain.index[e.from.index()]);
+    }
+  }
+}
+
+}  // namespace
+
 AnchorSets find_anchor_sets(const cg::ConstraintGraph& g) {
-  const graph::Digraph forward = g.project_forward();
-  const auto topo = graph::topological_order(forward);
+  const auto topo = g.forward_topo_order();
   RELSCHED_CHECK(topo.has_value(), "find_anchor_sets requires an acyclic Gf");
 
   AnchorSets sets;
@@ -32,21 +53,7 @@ AnchorSets find_anchor_sets(const cg::ConstraintGraph& g) {
     sets.domain.index[sets.domain.anchors[i].index()] = static_cast<int>(i);
   }
   sets.matrix.reset(g.vertex_count(), sets.domain.count());
-  // Dataflow in topological order: A(v) is the union over forward
-  // in-edges (u, v) of A(u), plus {u} when the edge carries the
-  // unbounded weight delta(u). Equivalent to the paper's counter-based
-  // findAnchorSet traversal, one word-parallel row merge per edge.
-  for (int node : *topo) {
-    const VertexId v(node);
-    for (EdgeId eid : g.in_edges(v)) {
-      const cg::Edge& e = g.edge(eid);
-      if (!cg::is_forward(e.kind)) continue;
-      sets.matrix.merge_row(v.index(), e.from.index());
-      if (g.weight(eid).unbounded) {
-        sets.matrix.set(v.index(), sets.domain.index[e.from.index()]);
-      }
-    }
-  }
+  for (int node : *topo) derive_anchor_set(g, sets, VertexId(node));
   return sets;
 }
 
@@ -158,169 +165,87 @@ graph::Weight AnchorAnalysis::maximal_defining_path_length(VertexId anchor,
 
 namespace {
 
+/// Edges that can continue a defining path from `anchor` (Definition
+/// 8): bounded ones, none out of the anchor -- the path starts with one
+/// of its unbounded edges and cannot revisit it.
+struct DefiningEdge {
+  const cg::ConstraintGraph& g;
+  VertexId anchor;
+  bool operator()(const cg::Edge& e) const {
+    return e.from != anchor && !g.weight(e.id).unbounded;
+  }
+};
+
+/// Edge filter of the anchor's cone: both endpoints in
+/// {anchor} union {v : anchor in A(v)}.
+struct ConeEdge {
+  const AnchorSets& sets;
+  VertexId anchor;
+  [[nodiscard]] bool contains(VertexId v) const {
+    return v == anchor || sets.view(v).contains(anchor);
+  }
+  bool operator()(const cg::Edge& e) const {
+    return contains(e.to) && contains(e.from);
+  }
+};
+
 /// Longest paths from `anchor` over paths whose only unbounded edge is
-/// the first: Bellman-Ford on the bounded-edge subgraph, seeded at the
-/// heads of the anchor's unbounded out-edges with distance 0 (delta(a)
-/// is excluded from defining-path lengths by Definition 8).
+/// the first: seeded at the heads of the anchor's unbounded out-edges
+/// with distance 0 (delta(a) is excluded from defining-path lengths by
+/// Definition 8).
 std::vector<graph::Weight> defining_path_lengths(const cg::ConstraintGraph& g,
                                                  VertexId anchor) {
-  const int n = g.vertex_count();
-  std::vector<graph::Weight> dist(static_cast<std::size_t>(n),
+  std::vector<graph::Weight> dist(static_cast<std::size_t>(g.vertex_count()),
                                   graph::kNegInf);
   for (EdgeId eid : g.out_edges(anchor)) {
-    if (g.weight(eid).unbounded) {
-      dist[g.edge(eid).to.index()] =
-          std::max<graph::Weight>(dist[g.edge(eid).to.index()], 0);
-    }
+    if (g.weight(eid).unbounded) dist[g.edge(eid).to.index()] = 0;
   }
-  // Relax bounded edges only. Edges *out of the anchor itself* are
-  // excluded: a defining path starts with one of the anchor's unbounded
-  // edges and cannot revisit the anchor, so its bounded out-edges (min
-  // constraints) can never continue a defining path. Feasible graphs
-  // have no positive cycles, so n passes suffice.
-  for (int pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (const cg::Edge& e : g.edges()) {
-      if (e.from == anchor) continue;
-      const cg::EdgeWeight w = g.weight(e.id);
-      if (w.unbounded) continue;
-      const graph::Weight candidate =
-          graph::saturating_add(dist[e.from.index()], w.value);
-      if (candidate > dist[e.to.index()]) {
-        dist[e.to.index()] = candidate;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  (void)cg::relax_edges(g, g.edges(), DefiningEdge{g, anchor}, dist);
   // A vertex is its own anchor-set member never; the self entry only
   // reflects bounded cycles back into the anchor. Clear it.
   dist[anchor.index()] = graph::kNegInf;
   return dist;
 }
 
-/// Cone-restricted longest paths from `anchor`: longest paths within
-/// the subgraph induced by {anchor} union {v : anchor in A(v)}, with
-/// unbounded weights 0. Equals the minimum offset sigma_a^min(v)
-/// (Theorem 3); graph::kNegInf outside the cone. The cone restriction
-/// matters: a backward edge leaving the cone (whose tail's anchor set
-/// does not carry `anchor`) would otherwise inflate the value beyond
-/// the offset the schedule actually realizes.
-std::vector<graph::Weight> cone_longest_paths(const cg::ConstraintGraph& g,
-                                              VertexId anchor,
-                                              const AnchorSets& anchor_sets) {
-  const int n = g.vertex_count();
-  std::vector<int> cone_index(static_cast<std::size_t>(n), -1);
-  std::vector<VertexId> cone_vertices;
-  for (int vi = 0; vi < n; ++vi) {
-    const VertexId v(vi);
-    if (v == anchor || anchor_sets.view(v).contains(anchor)) {
-      cone_index[v.index()] = static_cast<int>(cone_vertices.size());
-      cone_vertices.push_back(v);
-    }
-  }
-  graph::Digraph cone(static_cast<int>(cone_vertices.size()));
-  for (const cg::Edge& e : g.edges()) {
-    const int from = cone_index[e.from.index()];
-    const int to = cone_index[e.to.index()];
-    if (from < 0 || to < 0) continue;
-    cone.add_arc(from, to, g.weight(e.id).value);
-  }
-  auto lp = graph::longest_paths_from(cone, cone_index[anchor.index()]);
-  RELSCHED_CHECK(!lp.positive_cycle,
-                 "anchor analysis requires a feasible graph");
-  std::vector<graph::Weight> dist(static_cast<std::size_t>(n),
-                                  graph::kNegInf);
-  for (std::size_t i = 0; i < cone_vertices.size(); ++i) {
-    dist[cone_vertices[i].index()] = lp.dist[i];
-  }
-  return dist;
-}
-
-/// In-place variant of defining_path_lengths for update(): entries at
-/// unaffected vertices are already correct for the edited graph (a
-/// defining path whose length changed uses an edited edge, so its
-/// endpoint is reachable from a seed, i.e. affected), so only affected
-/// entries are re-derived, with unaffected in-neighbours acting as
-/// fixed boundary values. Once a path enters the affected cone it
-/// stays inside (the cone is closed under out-edges), so sweeping the
-/// affected vertices in topological order converges in one pass per
-/// backward-edge hop on the longest defining path -- never more than
-/// |affected| passes. Only the affected sublist is walked: the cost is
-/// proportional to the dirty cone, not to |V| or |E|.
-void patch_defining_path_lengths(const cg::ConstraintGraph& g, VertexId anchor,
-                                 const UpdatePlan& plan,
-                                 std::vector<graph::Weight>& dist) {
-  for (VertexId v : plan.affected_topo) dist[v.index()] = graph::kNegInf;
-  for (EdgeId eid : g.out_edges(anchor)) {
-    if (!g.weight(eid).unbounded) continue;
-    const VertexId head = g.edge(eid).to;
-    if (plan.affected->contains(head)) {
-      dist[head.index()] = std::max<graph::Weight>(dist[head.index()], 0);
-    }
-  }
-  const int max_passes = static_cast<int>(plan.affected_topo.size()) + 1;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    bool changed = false;
-    for (VertexId v : plan.affected_topo) {
-      graph::Weight best = dist[v.index()];
-      for (EdgeId eid : g.in_edges(v)) {
-        const cg::Edge& e = g.edge(eid);
-        if (e.from == anchor) continue;
-        const cg::EdgeWeight w = g.weight(eid);
-        if (w.unbounded) continue;
-        const graph::Weight candidate =
-            graph::saturating_add(dist[e.from.index()], w.value);
-        if (candidate > best) best = candidate;
-      }
-      if (best > dist[v.index()]) {
-        dist[v.index()] = best;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  dist[anchor.index()] = graph::kNegInf;
-}
-
-/// In-place variant of cone_longest_paths for update(), by the same
-/// boundary argument as patch_defining_path_lengths. `anchor_sets`
-/// must already be the post-edit sets: cone membership at affected
-/// vertices is re-evaluated against them, and unaffected membership is
-/// unchanged by construction.
-void patch_cone_longest_paths(const cg::ConstraintGraph& g, VertexId anchor,
-                              const AnchorSets& anchor_sets,
-                              const UpdatePlan& plan,
-                              std::vector<graph::Weight>& dist) {
-  const auto in_cone = [&](VertexId v) {
-    return v == anchor || anchor_sets.view(v).contains(anchor);
-  };
-  for (VertexId v : plan.affected_topo) dist[v.index()] = graph::kNegInf;
-  if (plan.affected->contains(anchor)) dist[anchor.index()] = 0;
-  const int max_passes = static_cast<int>(plan.affected_topo.size()) + 1;
-  bool changed = true;
-  for (int pass = 0; pass <= max_passes && changed; ++pass) {
-    changed = false;
-    for (VertexId v : plan.affected_topo) {
-      if (!in_cone(v)) continue;
-      graph::Weight best = dist[v.index()];
-      for (EdgeId eid : g.in_edges(v)) {
-        const cg::Edge& e = g.edge(eid);
-        if (!in_cone(e.from)) continue;
-        const graph::Weight candidate =
-            graph::saturating_add(dist[e.from.index()], g.weight(eid).value);
-        if (candidate > best) best = candidate;
-      }
-      if (best > dist[v.index()]) {
-        dist[v.index()] = best;
-        changed = true;
-      }
-    }
-  }
-  RELSCHED_CHECK(!changed, "anchor analysis requires a feasible graph");
+/// Re-derives one per-anchor row at the affected vertices (reset and
+/// seeded by the caller). Unaffected entries are already correct (a
+/// path whose length changed uses an edited edge, so its endpoint is
+/// affected) and act as fixed boundary values; a path entering the
+/// out-closed affected cone stays inside, so topological sweeps
+/// converge after one per backward-edge hop, plus one to confirm.
+template <class Keep>
+void patch_row(const cg::ConstraintGraph& g, const UpdatePlan& plan,
+               Keep keep, std::vector<graph::Weight>& dist) {
+  const bool converged = cg::relax_in_order(
+      g, plan.affected_topo, keep, dist,
+      static_cast<int>(plan.affected_topo.size()) + 1);
+  RELSCHED_CHECK(converged, "anchor analysis requires a feasible graph");
 }
 
 }  // namespace
+
+std::vector<graph::Weight> cone_longest_paths(const cg::ConstraintGraph& g,
+                                              const AnchorSets& anchor_sets,
+                                              VertexId anchor,
+                                              std::vector<EdgeId>* pred) {
+  const ConeEdge in_cone{anchor_sets, anchor};
+  std::vector<cg::Edge> cone_edges;
+  for (const cg::Edge& e : g.edges()) {
+    if (in_cone(e)) cone_edges.push_back(e);
+  }
+  std::vector<graph::Weight> dist(static_cast<std::size_t>(g.vertex_count()),
+                                  graph::kNegInf);
+  dist[anchor.index()] = 0;
+  if (pred != nullptr) {
+    pred->assign(static_cast<std::size_t>(g.vertex_count()), EdgeId::invalid());
+  }
+  const cg::RelaxResult r =
+      cg::relax_edges(g, cone_edges, [](const cg::Edge&) { return true; },
+                      dist, {.pred = pred, .probe = true});
+  RELSCHED_CHECK(!r.positive_cycle,
+                 "anchor analysis requires a feasible graph");
+  return dist;
+}
 
 /// minimumAnchor (paper §IV-D) at one vertex: x in R(v) is redundant if
 /// some relevant anchor r in R(v) with x in A(r) satisfies
@@ -381,7 +306,7 @@ AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
   // minimum offset sigma_a^min(v) by Theorem 3.
   a.length_from_.resize(num_anchors);
   parallel_for(pool, num_anchors, [&](std::size_t i) {
-    a.length_from_[i] = Row(cone_longest_paths(g, anchors[i], a.sets_));
+    a.length_from_[i] = Row(cone_longest_paths(g, a.sets_, anchors[i]));
   });
   a.rows_recomputed_ = static_cast<int>(num_anchors);
 
@@ -419,17 +344,7 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
     std::copy(row, row + words, prev_seed_rows.data() + si * words);
   }
   if (plan.forward_changed) {
-    for (VertexId v : plan.affected_topo) {
-      sets_.matrix.clear_row(v.index());
-      for (EdgeId eid : g.in_edges(v)) {
-        const cg::Edge& e = g.edge(eid);
-        if (!cg::is_forward(e.kind)) continue;
-        sets_.matrix.merge_row(v.index(), e.from.index());
-        if (g.weight(eid).unbounded) {
-          sets_.matrix.set(v.index(), sets_.domain.index[e.from.index()]);
-        }
-      }
-    }
+    for (VertexId v : plan.affected_topo) derive_anchor_set(g, sets_, v);
   }
 
   // Which per-anchor rows (defining-path lengths + cone longest paths)
@@ -477,9 +392,22 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   rows_recomputed_ = static_cast<int>(touched_rows.size());
   parallel_for(pool, touched_rows.size(), [&](std::size_t k) {
     const std::size_t i = touched_rows[k];
-    patch_defining_path_lengths(g, anchors[i], plan, defining_from_[i].write());
-    patch_cone_longest_paths(g, anchors[i], sets_, plan,
-                             length_from_[i].write());
+    const VertexId x = anchors[i];
+    std::vector<graph::Weight>& defining = defining_from_[i].write();
+    std::vector<graph::Weight>& length = length_from_[i].write();
+    for (VertexId v : plan.affected_topo) {
+      defining[v.index()] = length[v.index()] = graph::kNegInf;
+    }
+    for (EdgeId eid : g.out_edges(x)) {
+      const VertexId head = g.edge(eid).to;
+      if (g.weight(eid).unbounded && plan.affected->contains(head)) {
+        defining[head.index()] = 0;
+      }
+    }
+    if (plan.affected->contains(x)) length[x.index()] = 0;
+    patch_row(g, plan, DefiningEdge{g, x}, defining);
+    defining[x.index()] = graph::kNegInf;
+    patch_row(g, plan, ConeEdge{sets_, x}, length);
   });
 
   // R(v): by construction x in R(v) iff a defining path from x reaches

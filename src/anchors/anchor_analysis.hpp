@@ -202,6 +202,14 @@ struct AnchorSets {
 /// Precondition: Gf acyclic.
 AnchorSets find_anchor_sets(const cg::ConstraintGraph& g);
 
+/// The row AnchorAnalysis::length(anchor, .) (the cone-restricted
+/// longest paths), computed afresh; with a non-null `pred`, also the
+/// predecessor tree realizing it, fixed by the order contract of
+/// cg/longest_paths.hpp. Precondition: `g` feasible.
+std::vector<graph::Weight> cone_longest_paths(
+    const cg::ConstraintGraph& g, const AnchorSets& anchor_sets,
+    VertexId anchor, std::vector<EdgeId>* pred = nullptr);
+
 /// Dirty-region description for AnchorAnalysis::update(). Produced by
 /// the engine layer from the constraint graph's edit journal.
 struct UpdatePlan {

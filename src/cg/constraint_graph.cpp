@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/strings.hpp"
+#include "cg/longest_paths.hpp"
 
 namespace relsched::cg {
 
@@ -229,6 +230,29 @@ VertexId ConstraintGraph::sink() const {
   return found;
 }
 
+std::optional<std::vector<int>> ConstraintGraph::forward_topo_order() const {
+  const int n = vertex_count();
+  std::vector<int> indegree(static_cast<std::size_t>(n), 0);
+  for (const Edge& e : edges_) {
+    if (is_forward(e.kind)) ++indegree[e.to.index()];
+  }
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    if (indegree[static_cast<std::size_t>(v)] == 0) order.push_back(v);
+  }
+  // The order doubles as the work queue.
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (EdgeId eid : out_edges(VertexId(order[head]))) {
+      const Edge& e = edges_[eid.index()];
+      if (!is_forward(e.kind)) continue;
+      if (--indegree[e.to.index()] == 0) order.push_back(e.to.value());
+    }
+  }
+  if (static_cast<int>(order.size()) != n) return std::nullopt;
+  return order;
+}
+
 std::vector<VertexId> ConstraintGraph::anchors() const {
   std::vector<VertexId> result;
   for (const Vertex& v : vertices_) {
@@ -261,28 +285,28 @@ std::vector<ValidationIssue> ConstraintGraph::validate() const {
                       "graph has no vertices"});
     return issues;
   }
-  const graph::Digraph forward = project_forward();
-  if (!graph::is_acyclic(forward)) {
+  const auto topo = forward_topo_order();
+  if (!topo.has_value()) {
     issues.push_back({ValidationIssue::Kind::kForwardCycle, VertexId::invalid(),
                       "forward constraint graph Gf has a cycle"});
     return issues;  // polarity checks are meaningless on a cyclic Gf
   }
-  const VertexId snk = sink();
-  if (!snk.is_valid()) {
+  if (!sink().is_valid()) {
     issues.push_back({ValidationIssue::Kind::kMultipleSinks, VertexId::invalid(),
                       "graph is not polar: multiple sinks"});
     return issues;
   }
-  const auto from_source = graph::reachable_from(forward, source().value());
-  const auto to_sink = graph::reaching(forward, snk.value());
+  // Forward longest paths from the source: finite exactly where a
+  // vertex is reachable from it.
+  std::vector<graph::Weight> from_source(vertices_.size(), graph::kNegInf);
+  from_source[source().index()] = 0;
+  (void)relax_in_order(
+      *this, *topo, [](const Edge& e) { return is_forward(e.kind); },
+      from_source, /*max_passes=*/1);
   for (const Vertex& v : vertices_) {
-    if (!from_source[v.id.index()]) {
+    if (from_source[v.id.index()] == graph::kNegInf) {
       issues.push_back({ValidationIssue::Kind::kNotReachableFromSource, v.id,
                         cat("vertex '", v.name, "' unreachable from source")});
-    }
-    if (!to_sink[v.id.index()]) {
-      issues.push_back({ValidationIssue::Kind::kDoesNotReachSink, v.id,
-                        cat("vertex '", v.name, "' does not reach the sink")});
     }
   }
   return issues;

@@ -128,7 +128,6 @@ struct ValidationIssue {
   enum class Kind {
     kForwardCycle,        // Gf = (V, Ef) must be acyclic (paper assumption)
     kNotReachableFromSource,
-    kDoesNotReachSink,
     kMultipleSinks,
     kNoVertices,
   };
@@ -307,6 +306,10 @@ class ConstraintGraph {
   /// Returns invalid() when the graph is not polar (validate() reports why).
   [[nodiscard]] VertexId sink() const;
 
+  /// Kahn's algorithm over Gf = (V, Ef): FIFO, zero in-degree vertices
+  /// ascending, out-edges in adjacency order. std::nullopt on a cycle.
+  [[nodiscard]] std::optional<std::vector<int>> forward_topo_order() const;
+
   // ---- Semantic queries ---------------------------------------------------
 
   /// Anchors (Definition 2): the source plus all unbounded-delay vertices.
@@ -351,7 +354,10 @@ class ConstraintGraph {
 
   /// Checks the paper's structural assumptions: Gf acyclic and the graph
   /// polar (single source/sink, all vertices on a source-to-sink path in
-  /// Gf). Empty result means valid.
+  /// Gf). Empty result means valid. On an acyclic Gf with a unique
+  /// vertex lacking forward out-edges, every forward walk ends at that
+  /// sink, so a vertex that cannot reach the sink always shows up as
+  /// kMultipleSinks.
   [[nodiscard]] std::vector<ValidationIssue> validate() const;
 
   /// Graphviz dot rendering (forward edges solid, backward dashed,

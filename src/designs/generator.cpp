@@ -1,10 +1,12 @@
 #include "designs/generator.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <vector>
 
 #include "anchors/anchor_analysis.hpp"
 #include "base/strings.hpp"
+#include "cg/longest_paths.hpp"
 #include "graph/algorithms.hpp"
 
 namespace relsched::designs {
@@ -107,15 +109,9 @@ cg::ConstraintGraph generate(const GeneratorParams& params) {
   // whole graph, so one id-order sweep suffices. dist becomes the
   // potential function certifying feasibility of the max web below.
   std::vector<graph::Weight> dist(static_cast<std::size_t>(n), 0);
-  for (int v = 0; v < n; ++v) {
-    for (EdgeId eid : g.out_edges(VertexId(v))) {
-      const cg::Edge& e = g.edge(eid);
-      const cg::EdgeWeight w = g.weight(eid);
-      const graph::Weight value = w.unbounded ? 0 : w.value;
-      dist[e.to.index()] =
-          std::max(dist[e.to.index()], dist[static_cast<std::size_t>(v)] + value);
-    }
-  }
+  (void)cg::relax_in_order(g, std::views::iota(0, n),
+                           [](const cg::Edge&) { return true; }, dist,
+                           /*max_passes=*/1);
 
   // ---- Max-constraint web. A window h => t (h before t) is placed
   // only where A(t) subset-of A(h) -- no anchor feeds the window, so

@@ -32,8 +32,7 @@ std::optional<std::vector<int>> topological_order(const Digraph& g) {
 
 bool is_acyclic(const Digraph& g) { return topological_order(g).has_value(); }
 
-LongestPaths longest_paths_from(const Digraph& g, int source,
-                                base::Watchdog* watchdog) {
+LongestPaths longest_paths_from(const Digraph& g, int source) {
   const int n = g.node_count();
   LongestPaths result;
   result.dist.assign(static_cast<std::size_t>(n), kNegInf);
@@ -42,11 +41,6 @@ LongestPaths longest_paths_from(const Digraph& g, int source,
   // Standard Bellman–Ford relaxation, maximizing. A relaxation that still
   // fires on the n-th pass proves a positive cycle reachable from source.
   for (int pass = 0; pass < n; ++pass) {
-    if (watchdog != nullptr &&
-        watchdog->charge(std::max<std::uint64_t>(1, g.arcs().size()))) {
-      result.aborted = true;
-      return result;
-    }
     bool changed = false;
     for (const Arc& arc : g.arcs()) {
       const Weight from_dist = result.dist[static_cast<std::size_t>(arc.from)];

@@ -8,7 +8,6 @@
 #include <optional>
 #include <vector>
 
-#include "base/watchdog.hpp"
 #include "graph/digraph.hpp"
 
 namespace relsched::graph {
@@ -37,18 +36,11 @@ struct LongestPaths {
   /// positive_cycle == true.
   std::vector<Weight> dist;
   bool positive_cycle = false;
-  /// The watchdog tripped mid-computation; dist is partial and
-  /// positive_cycle undecided. Callers must not interpret the result.
-  bool aborted = false;
 };
 
 /// Bellman–Ford longest paths from `source`. Detects positive cycles
 /// reachable from `source` (the feasibility test of Theorem 1).
-/// A non-null `watchdog` is charged one step per arc relaxation pass
-/// element; when it trips, the computation stops within one pass and
-/// the result comes back with aborted == true.
-LongestPaths longest_paths_from(const Digraph& g, int source,
-                                base::Watchdog* watchdog = nullptr);
+LongestPaths longest_paths_from(const Digraph& g, int source);
 
 /// Longest paths over a DAG given its topological order; O(V+E).
 /// Precondition: `topo` is a valid topological order of g.

@@ -1,8 +1,6 @@
 #include "lint/incremental.hpp"
 
 #include <cstddef>
-#include <deque>
-#include <map>
 #include <utility>
 
 #include "lint/detail.hpp"
@@ -11,7 +9,8 @@ namespace relsched::lint {
 
 namespace {
 
-using Sig = std::tuple<int, int, int, int, int>;
+using Sig = IncrementalLinter::Sig;
+using Carry = engine::CarryOver<Sig>;
 
 /// Constraint signature of a finding. Matching on (rule, kind,
 /// endpoints, bound) instead of EdgeId is what makes carry-over safe
@@ -42,24 +41,10 @@ Sig finding_sig(const cg::ConstraintGraph& g, const Finding& f) {
 Report cone_relint(const cg::ConstraintGraph& g,
                    const anchors::AnchorAnalysis& analysis,
                    const std::vector<VertexId>& cone, const Options& options,
-                   const Report& prev, const std::vector<Sig>& prev_sigs) {
+                   const Report& prev, Carry::Index prev_index) {
   std::vector<bool> in_cone(static_cast<std::size_t>(g.vertex_count()), false);
   for (const VertexId v : cone) in_cone[v.index()] = true;
 
-  // Previous findings by signature, consumed front-to-back so two
-  // identical constraints (same signature, both out of cone) each get
-  // their own carried finding.
-  std::map<Sig, std::deque<std::size_t>> prev_index;
-  for (std::size_t i = 0; i < prev.findings.size(); ++i) {
-    prev_index[prev_sigs[i]].push_back(i);
-  }
-  const auto take = [&](const Sig& key) -> const Finding* {
-    const auto it = prev_index.find(key);
-    if (it == prev_index.end() || it->second.empty()) return nullptr;
-    const std::size_t i = it->second.front();
-    it->second.pop_front();
-    return &prev.findings[i];
-  };
   const auto edge_sig = [](Rule rule, const cg::Edge& e) -> Sig {
     return {static_cast<int>(rule), static_cast<int>(e.kind), e.from.value(),
             e.to.value(), e.fixed_weight};
@@ -99,7 +84,8 @@ Report cone_relint(const cg::ConstraintGraph& g,
       if (is_redundant[e.id.index()]) continue;  // stronger finding exists
       const Finding* carried_from = nullptr;
       if (!in_cone[e.from.index()] && !in_cone[e.to.index()]) {
-        carried_from = take(edge_sig(Rule::kNeverBindingMax, e));
+        carried_from =
+            prev_index.take(edge_sig(Rule::kNeverBindingMax, e), prev.findings);
       }
       if (carried_from != nullptr) {
         Finding carried = *carried_from;
@@ -132,7 +118,9 @@ Report cone_relint(const cg::ConstraintGraph& g,
       for (const VertexId a : analysis.anchors()) {
         const Sig key{static_cast<int>(Rule::kDeadAnchor), a.value(), -1, -1,
                       -1};
-        if (const Finding* f = take(key)) report.findings.push_back(*f);
+        if (const Finding* f = prev_index.take(key, prev.findings)) {
+          report.findings.push_back(*f);
+        }
       }
     }
   }
@@ -144,41 +132,27 @@ Report cone_relint(const cg::ConstraintGraph& g,
 const Report& IncrementalLinter::relint(engine::SynthesisSession& session) {
   const engine::Products& products = session.resolve();
   const cg::ConstraintGraph& g = session.graph();
-  const long long resolves = session.resolve_count();
 
-  if (valid_ && products.revision == revision_ && resolves == resolves_) {
-    return report_;  // no resolve since the cached report: still current
+  // A warm resolve implies the *previous* products were ok, so a cached
+  // report on the cone path holds no error findings to invalidate.
+  switch (carry_.plan(session, products, /*cached_ok=*/true)) {
+    case Carry::Path::kCurrent:
+      return report_;
+    case Carry::Path::kCone: {
+      ++cone_lints_;
+      const Report prev = std::move(report_);
+      report_ = cone_relint(g, products.analysis, session.last_dirty_cone(),
+                            options_, prev, carry_.index());
+      break;
+    }
+    case Carry::Path::kFull:
+      ++full_lints_;
+      report_ =
+          analyze(g, products.ok() ? &products.analysis : nullptr, options_);
+      break;
   }
-
-  // The cone path is sound only when exactly ONE warm resolve separates
-  // the cached report from the current products: last_dirty_cone() then
-  // bounds everything that changed since report_ was built. (A warm
-  // resolve also implies the *previous* products were ok, so report_
-  // holds no error findings to invalidate.)
-  const bool cone_ok = valid_ && products.ok() &&
-                       session.last_resolve_was_warm() &&
-                       resolves == resolves_ + 1;
-
-  if (cone_ok) {
-    ++cone_lints_;
-    const Report prev = std::move(report_);
-    const std::vector<Sig> prev_sigs = std::move(sigs_);
-    report_ = cone_relint(g, products.analysis, session.last_dirty_cone(),
-                          options_, prev, prev_sigs);
-  } else {
-    ++full_lints_;
-    report_ =
-        analyze(g, products.ok() ? &products.analysis : nullptr, options_);
-  }
-
-  // Refresh the signatures NOW, while the report's EdgeIds are valid;
-  // by the next relint() they may have been swap-popped away.
-  sigs_.clear();
-  sigs_.reserve(report_.findings.size());
-  for (const Finding& f : report_.findings) sigs_.push_back(finding_sig(g, f));
-  revision_ = products.revision;
-  resolves_ = resolves;
-  valid_ = true;
+  carry_.store(session, products, report_.findings,
+               [&g](const Finding& f) { return finding_sig(g, f); });
   return report_;
 }
 

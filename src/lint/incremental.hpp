@@ -27,10 +27,9 @@
 // analyze() of the current graph (tests/property_lint.cpp).
 #pragma once
 
-#include <cstdint>
 #include <tuple>
-#include <vector>
 
+#include "engine/carry_over.hpp"
 #include "engine/session.hpp"
 #include "lint/lint.hpp"
 
@@ -50,19 +49,16 @@ class IncrementalLinter {
   [[nodiscard]] int full_lints() const { return full_lints_; }
   [[nodiscard]] int cone_lints() const { return cone_lints_; }
 
+  /// Constraint signature of a cached finding: (rule, kind, from, to,
+  /// fixed_weight) for edge findings, (rule, vertex, -1, -1, -1) for
+  /// vertex-only ones.
+  using Sig = std::tuple<int, int, int, int, int>;
+
  private:
   Options options_;
   Report report_;
-  /// Constraint signature of each cached finding, parallel to
-  /// report_.findings: (rule, kind, from, to, fixed_weight) for edge
-  /// findings, (rule, vertex, -1, -1, -1) for vertex-only ones.
-  /// Computed at report build time, while the EdgeIds are valid.
-  std::vector<std::tuple<int, int, int, int, int>> sigs_;
-  /// Graph revision + resolve count the cached report was built at;
-  /// the cone path requires exactly one warm resolve in between.
-  std::uint64_t revision_ = 0;
-  long long resolves_ = 0;
-  bool valid_ = false;
+  /// Gate and per-finding signatures of report_.
+  engine::CarryOver<Sig> carry_;
   int full_lints_ = 0;
   int cone_lints_ = 0;
 };

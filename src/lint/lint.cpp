@@ -6,8 +6,8 @@
 #include "base/error.hpp"
 #include "base/json.hpp"
 #include "base/strings.hpp"
+#include "cg/longest_paths.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/digraph.hpp"
 #include "lint/detail.hpp"
 #include "wellposed/wellposed.hpp"
 
@@ -49,37 +49,17 @@ std::string describe_edge(const cg::ConstraintGraph& g, EdgeId eid) {
   return "?";
 }
 
-/// Longest resolved-weight walk from `from` to `to` that avoids edge
-/// `skip`, optionally restricted to forward edges and/or to a vertex
-/// subset (`allowed`, the anchor-cone case). Label-correcting
-/// Bellman-Ford; precondition: the walked subgraph has no positive
-/// cycle (subgraphs of a feasible graph never do), so walks equal
-/// paths and n passes suffice.
+/// Longest resolved-weight walk from `from` to `to` over the edges
+/// `keep` admits (one filter lambda per call site; see the kernel).
+/// Precondition: the walked subgraph has no positive cycle (subgraphs
+/// of a feasible graph never do), so walks equal paths.
+template <class Keep>
 Weight implied_path(const cg::ConstraintGraph& g, VertexId from, VertexId to,
-                    EdgeId skip, const std::vector<bool>* allowed,
-                    bool forward_only) {
-  const int n = g.vertex_count();
-  std::vector<Weight> dist(static_cast<std::size_t>(n), kNegInf);
+                    Keep keep) {
+  std::vector<Weight> dist(static_cast<std::size_t>(g.vertex_count()),
+                           kNegInf);
   dist[from.index()] = 0;
-  for (int pass = 0; pass < n; ++pass) {
-    bool changed = false;
-    for (const cg::Edge& e : g.edges()) {
-      if (e.id == skip) continue;
-      if (forward_only && !cg::is_forward(e.kind)) continue;
-      if (allowed != nullptr &&
-          (!(*allowed)[e.from.index()] || !(*allowed)[e.to.index()])) {
-        continue;
-      }
-      if (dist[e.from.index()] == kNegInf) continue;
-      const Weight cand =
-          graph::saturating_add(dist[e.from.index()], g.weight(e.id).value);
-      if (cand > dist[e.to.index()]) {
-        dist[e.to.index()] = cand;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
+  (void)cg::relax_edges(g, g.edges(), keep, dist);
   return dist[to.index()];
 }
 
@@ -120,12 +100,14 @@ bool edge_redundant(const cg::ConstraintGraph& g,
   const Weight w = g.weight(eid).value;
   if (e.kind == cg::EdgeKind::kMinConstraint) {
     const Weight wf =
-        implied_path(g, e.from, e.to, eid, nullptr, /*forward_only=*/true);
+        implied_path(g, e.from, e.to, [eid](const cg::Edge& x) {
+          return x.id != eid && cg::is_forward(x.kind);
+        });
     if (wf == kNegInf || wf < w) return false;
     *implied = wf;
   } else if (e.kind == cg::EdgeKind::kMaxConstraint) {
-    const Weight wg =
-        implied_path(g, e.from, e.to, eid, nullptr, /*forward_only=*/false);
+    const Weight wg = implied_path(
+        g, e.from, e.to, [eid](const cg::Edge& x) { return x.id != eid; });
     if (wg == kNegInf || wg < w) return false;
     *implied = wg;
   } else {
@@ -141,7 +123,9 @@ bool edge_redundant(const cg::ConstraintGraph& g,
       cone[static_cast<std::size_t>(v)] = in_cone(VertexId(v));
     }
     const Weight wc =
-        implied_path(g, e.from, e.to, eid, &cone, /*forward_only=*/false);
+        implied_path(g, e.from, e.to, [eid, &cone](const cg::Edge& x) {
+          return x.id != eid && cone[x.from.index()] && cone[x.to.index()];
+        });
     if (wc == kNegInf || wc < w) return false;
   }
   return true;
@@ -184,14 +168,14 @@ namespace {
 /// removed: no positive cycle in the remaining G0 (Theorem 1).
 bool feasible_without(const cg::ConstraintGraph& g,
                       const std::vector<bool>& dropped) {
-  graph::Digraph d(g.vertex_count());
-  for (const cg::Edge& e : g.edges()) {
-    if (e.kind == cg::EdgeKind::kMaxConstraint && dropped[e.id.index()]) {
-      continue;
-    }
-    d.add_arc(e.from.value(), e.to.value(), g.weight(e.id).value);
-  }
-  return !graph::longest_paths_from(d, g.source().value()).positive_cycle;
+  std::vector<Weight> dist(static_cast<std::size_t>(g.vertex_count()),
+                           kNegInf);
+  dist[g.source().index()] = 0;
+  const auto kept = [&dropped](const cg::Edge& e) {
+    return e.kind != cg::EdgeKind::kMaxConstraint || !dropped[e.id.index()];
+  };
+  return !cg::relax_edges(g, g.edges(), kept, dist, {.probe = true})
+              .positive_cycle;
 }
 
 }  // namespace

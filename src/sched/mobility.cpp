@@ -1,40 +1,35 @@
 #include "sched/mobility.hpp"
 
+#include <ranges>
+
 #include "base/error.hpp"
+#include "cg/longest_paths.hpp"
 
 namespace relsched::sched {
 
 MobilityAnalysis compute_mobility(const cg::ConstraintGraph& g) {
-  const graph::Digraph forward = g.project_forward();
-  const auto topo = graph::topological_order(forward);
+  const auto topo = g.forward_topo_order();
   RELSCHED_CHECK(topo.has_value(), "mobility requires an acyclic Gf");
   const VertexId sink = g.sink();
   RELSCHED_CHECK(sink.is_valid(), "mobility requires a polar graph");
+  const auto forward = [](const cg::Edge& e) { return cg::is_forward(e.kind); };
+  const int n = g.vertex_count();
 
+  // One sweep in topological order is exact on the DAG Gf.
   MobilityAnalysis result;
-  result.asap =
-      graph::dag_longest_paths_from(forward, g.source().value(), *topo);
+  result.asap.assign(static_cast<std::size_t>(n), graph::kNegInf);
+  result.asap[g.source().index()] = 0;
+  (void)cg::relax_in_order(g, *topo, forward, result.asap, /*max_passes=*/1);
   result.schedule_length = result.asap[sink.index()];
 
   // ALAP by longest path *to* the sink, swept in reverse topological
   // order: alap(v) = L - max over out-edges (v -> w) of (w(v,w) +
   // (L - alap(w))).
-  const int n = g.vertex_count();
   std::vector<graph::Weight> to_sink(static_cast<std::size_t>(n),
                                      graph::kNegInf);
   to_sink[sink.index()] = 0;
-  for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
-    const int v = *it;
-    for (int arc_idx : forward.out_arcs(v)) {
-      const graph::Arc& arc = forward.arc(arc_idx);
-      if (to_sink[static_cast<std::size_t>(arc.to)] == graph::kNegInf) {
-        continue;
-      }
-      to_sink[static_cast<std::size_t>(v)] =
-          std::max(to_sink[static_cast<std::size_t>(v)],
-                   arc.weight + to_sink[static_cast<std::size_t>(arc.to)]);
-    }
-  }
+  (void)cg::relax_in_order<cg::Pull::kOutEdges>(
+      g, std::views::reverse(*topo), forward, to_sink, /*max_passes=*/1);
 
   result.alap.assign(static_cast<std::size_t>(n), 0);
   result.mobility.assign(static_cast<std::size_t>(n), 0);

@@ -169,8 +169,7 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
     }
   }
 
-  const graph::Digraph forward = g.project_forward();
-  const auto topo = graph::topological_order(forward);
+  const auto topo = g.forward_topo_order();
   if (!topo.has_value()) {
     result.status = ScheduleStatus::kInvalidGraph;
     result.message = "forward constraint graph has a cycle";

@@ -2,6 +2,7 @@
 
 #include "base/error.hpp"
 #include "base/strings.hpp"
+#include "cg/longest_paths.hpp"
 #include "graph/algorithms.hpp"
 
 namespace relsched::wellposed {
@@ -19,10 +20,13 @@ const char* to_string(Status status) {
 }
 
 bool is_feasible(const cg::ConstraintGraph& g, base::Watchdog* watchdog) {
-  const graph::Digraph full = g.project_full();
-  const graph::LongestPaths lp =
-      graph::longest_paths_from(full, g.source().value(), watchdog);
-  return !lp.aborted && !lp.positive_cycle;
+  std::vector<graph::Weight> dist(static_cast<std::size_t>(g.vertex_count()),
+                                  graph::kNegInf);
+  dist[g.source().index()] = 0;
+  const cg::RelaxResult r =
+      cg::relax_edges(g, g.edges(), [](const cg::Edge&) { return true; },
+                      dist, {.watchdog = watchdog, .probe = true});
+  return !r.aborted && !r.positive_cycle;
 }
 
 bool is_feasible_incremental(const cg::ConstraintGraph& g,
@@ -118,12 +122,13 @@ CheckResult infeasible_result(const cg::ConstraintGraph& g) {
 }  // namespace
 
 CheckResult check(const cg::ConstraintGraph& g) {
-  return check(g, anchors::find_anchor_sets(g));
+  const anchors::AnchorSets anchor_sets = anchors::find_anchor_sets(g);
+  if (!is_feasible(g)) return infeasible_result(g);
+  return check(g, anchor_sets);
 }
 
 CheckResult check(const cg::ConstraintGraph& g,
                   const anchors::AnchorSets& anchor_sets) {
-  if (!is_feasible(g)) return infeasible_result(g);
   // Theorem 2 requires A(tail) subset-of A(head) for every edge; forward
   // edges satisfy it by the definition of anchor sets, so only backward
   // edges need checking (paper's checkWellposed). The backward index is

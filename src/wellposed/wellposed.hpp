@@ -89,6 +89,10 @@ struct SpfaWorkspace {
 /// containment A(tail) subset-of A(head) on every backward edge
 /// (forward edges satisfy containment by construction).
 CheckResult check(const cg::ConstraintGraph& g);
+
+/// The containment half of check(g), over precomputed anchor sets.
+/// Precondition: `g` is feasible (the caller has run is_feasible(g)),
+/// so the result is kWellPosed or kIllPosed, never kInfeasible.
 CheckResult check(const cg::ConstraintGraph& g,
                   const anchors::AnchorSets& anchor_sets);
 

@@ -115,6 +115,24 @@ TEST(ConstraintGraph, ValidateRejectsDisconnectedVertex) {
   ASSERT_FALSE(issues.empty());
 }
 
+TEST(ConstraintGraph, VertexWithoutSinkPathIsRejectedAsMultipleSinks) {
+  // `dead` has no forward path to the sink; its only out-edge is the
+  // backward edge of a max constraint. On an acyclic Gf such a vertex
+  // is always a second vertex without forward out-edges.
+  ConstraintGraph g;
+  const VertexId v0 = g.add_vertex("v0", Delay::bounded(0));
+  const VertexId v1 = g.add_vertex("v1", Delay::bounded(1));
+  const VertexId dead = g.add_vertex("dead", Delay::bounded(1));
+  const VertexId sink = g.add_vertex("sink", Delay::bounded(0));
+  g.add_sequencing_edge(v0, v1);
+  g.add_sequencing_edge(v1, sink);
+  g.add_sequencing_edge(v0, dead);
+  g.add_max_constraint(v1, dead, 3);
+  const auto issues = g.validate();
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_EQ(issues.front().kind, ValidationIssue::Kind::kMultipleSinks);
+}
+
 TEST(ConstraintGraph, AnchorsAreSourcePlusUnbounded) {
   Fig2Graph f;
   const auto anchors = f.g.anchors();

@@ -357,7 +357,7 @@ TEST(ExplorerTest, CheckpointResumeSkipsCompletedCandidates) {
 }
 
 TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnceAndIsReusable) {
-  WorkStealingPool pool(4);
+  base::WorkStealingPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4);
   constexpr int kTasks = 500;
   std::vector<std::atomic<int>> hits(kTasks);
@@ -378,7 +378,7 @@ TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnceAndIsReusable) {
 }
 
 TEST(WorkStealingPoolTest, EmptyRunAndThreadClamping) {
-  WorkStealingPool pool(0);  // clamped to one worker
+  base::WorkStealingPool pool(0);  // clamped to one worker
   EXPECT_EQ(pool.thread_count(), 1);
   pool.run(0, [](int) { std::abort(); });  // no tasks, no calls
   std::vector<int> order;
@@ -392,7 +392,7 @@ TEST(WorkStealingPoolTest, EmptyRunAndThreadClamping) {
 // while a job is in flight -- here, from inside that job's own tasks --
 // declines instead of deadlocking, and the caller stays sequential.
 TEST(WorkStealingPoolTest, TryRunDeclinesWhileAJobIsInFlight) {
-  WorkStealingPool pool(2);
+  base::WorkStealingPool pool(2);
   std::atomic<int> outer{0};
   std::atomic<int> declined{0};
   pool.run(8, [&](int) {
@@ -421,15 +421,15 @@ TEST(WorkStealingPoolTest, DefaultThreadCountRespectsEnvOverride) {
   const int hardware = hw == 0 ? 1 : static_cast<int>(hw);
 
   ::setenv("RELSCHED_THREADS", "3", 1);
-  EXPECT_EQ(WorkStealingPool::default_thread_count(), 3);
+  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), 3);
   ::setenv("RELSCHED_THREADS", "not-a-number", 1);
-  EXPECT_EQ(WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
   ::setenv("RELSCHED_THREADS", "0", 1);  // below the [1, 512] range
-  EXPECT_EQ(WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
   ::setenv("RELSCHED_THREADS", "100000", 1);  // above it
-  EXPECT_EQ(WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
   ::unsetenv("RELSCHED_THREADS");
-  EXPECT_EQ(WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
 }
 
 }  // namespace
