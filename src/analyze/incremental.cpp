@@ -27,7 +27,7 @@ Sig edge_sig(const cg::Edge& e) {
 Report cone_reanalyze(const cg::ConstraintGraph& g,
                       const anchors::AnchorAnalysis& analysis,
                       const std::vector<VertexId>& cone,
-                      const std::vector<int>& topo, const Report& prev,
+                      const graph::DynamicTopoOrder& topo, const Report& prev,
                       Carry::Index prev_index,
                       std::vector<graph::Weight>& t0) {
   std::vector<bool> in_cone(static_cast<std::size_t>(g.vertex_count()), false);
@@ -35,15 +35,11 @@ Report cone_reanalyze(const cg::ConstraintGraph& g,
 
   // The engine publishes the cone in flood (BFS) order; the T0 patch
   // needs forward topological order, so sort by position in the
-  // products' own topo order.
-  std::vector<int> pos(static_cast<std::size_t>(g.vertex_count()), 0);
-  for (std::size_t i = 0; i < topo.size(); ++i) {
-    pos[static_cast<std::size_t>(topo[i])] = static_cast<int>(i);
-  }
+  // session's order.
   std::vector<VertexId> cone_topo = cone;
   std::sort(cone_topo.begin(), cone_topo.end(),
-            [&pos](VertexId a, VertexId b) {
-              return pos[a.index()] < pos[b.index()];
+            [&topo](VertexId a, VertexId b) {
+              return topo.position(a.value()) < topo.position(b.value());
             });
   detail::patch_zero_profile_start_times(g, analysis, cone_topo, t0);
 
@@ -81,15 +77,18 @@ const Report& IncrementalAnalyzer::reanalyze(
       ++cone_analyses_;
       const Report prev = std::move(report_);
       report_ = cone_reanalyze(g, products.analysis, session.last_dirty_cone(),
-                               products.topo, prev, carry_.index(), t0_);
+                               session.topo_order(), prev, carry_.index(),
+                               t0_);
       break;
     }
     case Carry::Path::kFull:
       ++full_analyses_;
       report_ = analyze(g, products.ok() ? &products.analysis : nullptr);
-      if (report_.ok()) {
+      // A report can be ok over products that are not (a cancelled
+      // resolve leaves no analysis); the cone path never reads t0 then.
+      if (report_.ok() && products.ok()) {
         t0_ = detail::zero_profile_start_times(g, products.analysis,
-                                               products.topo);
+                                               session.topo_order().order());
       } else {
         t0_.clear();
       }

@@ -23,12 +23,24 @@ using Clock = std::chrono::steady_clock;
 constexpr std::string_view kSnapshotMagic = "RSNAP001";
 // v2: anchor analysis serialized as anchor-domain + bitset rows (the
 // struct-of-arrays core refactor). v3: SessionStats grew wal_retries
-// (the serving layer's flaky-filesystem counter). Older snapshots are
-// not readable.
-constexpr std::uint32_t kSnapshotVersion = 3;
+// (the serving layer's flaky-filesystem counter). v4: the forward order
+// is stored once, as the session's order (products no longer carry a
+// copy). Older snapshots are not readable.
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 double us_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
+}
+
+/// True when every forward edge of `g` points forward under `topo`.
+bool orders_forward_edges(const cg::ConstraintGraph& g,
+                          const graph::DynamicTopoOrder& topo) {
+  return std::all_of(g.edges().begin(), g.edges().end(),
+                     [&topo](const cg::Edge& e) {
+                       return !cg::is_forward(e.kind) ||
+                              topo.position(e.from.value()) <
+                                  topo.position(e.to.value());
+                     });
 }
 
 }  // namespace
@@ -251,7 +263,6 @@ const Products& SynthesisSession::resolve() {
 }
 
 void SynthesisSession::adopt_schedule() {
-  products_.topo = topo_.order();
   potentials_ =
       products_.schedule.schedule.start_times(graph_, {}, topo_.order());
 }
@@ -275,23 +286,20 @@ void SynthesisSession::cold_resolve() {
   products_ = Products{};
   sched::ScheduleResult& out = products_.schedule;
 
-  if (const auto issues = graph_.validate(); !issues.empty()) {
-    out.status = sched::ScheduleStatus::kInvalidGraph;
-    out.message = issues.front().message;
-    // The order predates whatever made the graph invalid; reset (which
-    // fails on a forward cycle, flagging the order invalid) rather than
-    // keep serving -- and checkpointing -- a stale permutation.
-    (void)topo_.reset(graph_.project_forward());
-    return;
-  }
-  // Every later exit keeps the order coherent with the graph: failed
-  // resolves (infeasible, ill-posed, cancelled) do not patch the order
-  // edge-by-edge the way the warm path does, so without this reset a
+  const std::vector<cg::ValidationIssue> issues = graph_.validate();
+  // Every exit keeps the order coherent with the graph: failed resolves
+  // (invalid, infeasible, ill-posed, cancelled) do not patch the order
+  // edge-by-edge the way the warm path does, so without this reseed a
   // checkpoint taken after edit -> failed-resolve would persist an
   // order the edited graph no longer satisfies, and restore would
-  // reject its own snapshot.
-  RELSCHED_CHECK(topo_.reset(graph_.project_forward()),
-                 "validated graph must have an acyclic Gf");
+  // reject its own snapshot. A forward cycle leaves the order invalid.
+  (void)topo_.adopt(graph_.forward_topo_order());
+  if (!issues.empty()) {
+    out.status = sched::ScheduleStatus::kInvalidGraph;
+    out.message = issues.front().message;
+    return;
+  }
+  RELSCHED_CHECK(topo_.valid(), "validated graph must have an acyclic Gf");
   // AnchorAnalysis::compute requires feasibility, so check() cannot be
   // deferred past it.
   if (!wellposed::is_feasible(graph_, &watchdog_)) {
@@ -328,28 +336,37 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
                                        bool forward_changed) {
   // Patch the topological order edge by edge, in journal order. A
   // min-constraint insertion that closes a forward cycle makes the
-  // graph invalid; defer to the cold path, which reports it.
+  // graph invalid; defer to the cold path, which reports it. The
+  // Pearce-Kelly search reads the current graph's forward edges and
+  // follows only those already pointing forward in the order, so edges
+  // inserted later in the suffix wait for their own insertion and
+  // edges removed since are simply not there; a removal never
+  // invalidates the order and needs no step of its own.
   if (!topo_.valid()) return false;
   const Clock::time_point t_begin = Clock::now();
   // The journal suffix since the last resolve: products_.revision is
   // the absolute revision the cached products were computed at.
   const std::vector<cg::Edit>& edits = graph_.edits();
   const std::uint64_t base = graph_.journal_base();
+  const auto successors = [this](int v, auto&& visit) {
+    for (EdgeId eid : graph_.out_edges(VertexId(v))) {
+      const cg::Edge& e = graph_.edge(eid);
+      if (cg::is_forward(e.kind)) visit(e.to.value());
+    }
+  };
+  const auto predecessors = [this](int v, auto&& visit) {
+    for (EdgeId eid : graph_.in_edges(VertexId(v))) {
+      const cg::Edge& e = graph_.edge(eid);
+      if (cg::is_forward(e.kind)) visit(e.from.value());
+    }
+  };
   for (std::size_t i = static_cast<std::size_t>(products_.revision - base);
        i < edits.size(); ++i) {
     const cg::Edit& e = edits[i];
-    switch (e.kind) {
-      case cg::Edit::Kind::kAddMinConstraint:
-        if (!topo_.add_arc(e.from.value(), e.to.value())) return false;
-        break;
-      case cg::Edit::Kind::kRemoveConstraint:
-        if (e.forward) {
-          RELSCHED_CHECK(topo_.remove_arc(e.from.value(), e.to.value()),
-                         "topo mirror out of sync with the graph");
-        }
-        break;
-      default:
-        break;  // backward edges and re-weights never touch Gf's order
+    if (e.kind == cg::Edit::Kind::kAddMinConstraint &&
+        !topo_.add_arc(e.from.value(), e.to.value(), successors,
+                       predecessors)) {
+      return false;
     }
   }
 
@@ -465,7 +482,6 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
   stats_.warm_anchor_us += us_between(t_spfa, t_anchor);
   if (wp.status == wellposed::Status::kIllPosed) {
     // Mirrors the cold path: keep the analysis, drop the schedule.
-    products_.topo.clear();
     products_.schedule = sched::ScheduleResult{};
     products_.schedule.status = sched::ScheduleStatus::kIllPosed;
     products_.schedule.message = wp.message;
@@ -581,8 +597,7 @@ persist::Error SynthesisSession::checkpoint(const std::string& dir) {
   w.b(force_cold_ || products_.revision != graph_.revision());
   save_products(w, products_);
   w.b(topo_.valid());
-  static const std::vector<int> kNoOrder;
-  w.vec_i32(topo_.valid() ? topo_.order() : kNoOrder);
+  w.vec_i32(topo_.order());  // empty when invalid
   // Potentials are only a warm-start seed; after a structural edit they
   // can be stale at the old cardinality, and restore would reject them.
   static const std::vector<graph::Weight> kNoPotentials;
@@ -660,7 +675,9 @@ std::optional<SynthesisSession> SynthesisSession::restore(
     return reject("snapshot products are newer than the snapshot graph");
   }
   if (topo_valid &&
-      !s.topo_.restore(s.graph_.project_forward(), std::move(topo_order))) {
+      (topo_order.size() != static_cast<std::size_t>(s.graph_.vertex_count()) ||
+       !s.topo_.adopt(std::move(topo_order)) ||
+       !orders_forward_edges(s.graph_, s.topo_))) {
     return reject("snapshot topological order is inconsistent with the graph");
   }
   if (!potentials.empty() &&
@@ -828,7 +845,6 @@ void save_products(persist::Writer& w, const Products& products) {
   w.u64(products.revision);
   persist::save_analysis(w, products.analysis);
   persist::save_schedule_result(w, products.schedule);
-  w.vec_i32(products.topo);
   persist::save_diag(w, products.certificate);
 }
 
@@ -836,7 +852,6 @@ bool load_products(persist::Reader& r, Products* out) {
   out->revision = r.u64();
   if (!persist::load_analysis(r, &out->analysis)) return false;
   if (!persist::load_schedule_result(r, &out->schedule)) return false;
-  out->topo = r.vec_i32();
   if (!persist::load_diag(r, &out->certificate)) return false;
   return r.ok();
 }

@@ -154,8 +154,6 @@ struct Products {
   std::uint64_t revision = 0;
   anchors::AnchorAnalysis analysis;
   sched::ScheduleResult schedule;
-  /// Forward topological order the schedule was computed with.
-  std::vector<int> topo;
   /// What certification caught, when it caught anything (kNone
   /// otherwise): these products then come from the cold fallback, and
   /// `certificate` records why the warm results were rejected.
@@ -328,6 +326,13 @@ class SynthesisSession {
 
   /// Last resolved products (resolve() must have run at least once).
   [[nodiscard]] const Products& products() const { return products_; }
+
+  /// Forward topological order of the graph the last resolve saw: the
+  /// order the warm path patches and a successful schedule was computed
+  /// with. Invalid (and empty) when that graph's Gf is cyclic.
+  [[nodiscard]] const graph::DynamicTopoOrder& topo_order() const {
+    return topo_;
+  }
 
   /// True when the most recent resolve()/commit() was served by the
   /// warm path and its products survived certification (no cold
@@ -507,7 +512,7 @@ class SynthesisSession {
   /// slower path to fall back to, so a failure here is a hard error
   /// (RELSCHED_CHECK).
   void certify_cold_products();
-  /// Refreshes topo/potentials after a successful schedule.
+  /// Refreshes the potentials after a successful schedule.
   void adopt_schedule();
   /// |reachable set| from `seeds` over the current full graph; the
   /// cone-accounting primitive behind commit()'s statistics.
@@ -543,7 +548,8 @@ class SynthesisSession {
   /// concurrently callable) while the session object remains movable.
   std::shared_ptr<std::atomic<long long>> forks_taken_ =
       std::make_shared<std::atomic<long long>>(0);
-  /// Pearce-Kelly order over Gf, patched per forward-edge edit.
+  /// Pearce-Kelly order over Gf, seeded per cold resolve and patched
+  /// per min-constraint insertion.
   graph::DynamicTopoOrder topo_;
   /// Zero-profile start times of the last valid schedule: a potential
   /// function satisfying every G0 edge, re-used as the starting point

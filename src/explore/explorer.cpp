@@ -81,8 +81,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::string_view kExploreMagic = "RSEXP001";
 // v2: embedded session products carry the bit-matrix anchor payload
-// (see engine's kSnapshotVersion); v1 checkpoints are not readable.
-constexpr std::uint32_t kExploreVersion = 2;
+// (see engine's kSnapshotVersion). v3: they no longer carry a copy of
+// the forward order. Older checkpoints are not readable.
+constexpr std::uint32_t kExploreVersion = 3;
 
 std::shared_ptr<base::WorkStealingPool> resolve_pool(int requested) {
   if (requested > 0) return std::make_shared<base::WorkStealingPool>(requested);

@@ -7,149 +7,45 @@
 namespace relsched::graph {
 
 bool DynamicTopoOrder::reset(const Digraph& g) {
-  valid_ = false;
-  const auto topo = topological_order(g);
-  if (!topo.has_value()) return false;
-  const std::size_t n = static_cast<std::size_t>(g.node_count());
-  out_.assign(n, {});
-  in_.assign(n, {});
-  for (const Arc& arc : g.arcs()) {
-    out_[static_cast<std::size_t>(arc.from)].push_back(arc.to);
-    in_[static_cast<std::size_t>(arc.to)].push_back(arc.from);
-  }
-  order_ = *topo;
-  pos_.assign(n, 0);
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    pos_[static_cast<std::size_t>(order_[i])] = static_cast<int>(i);
-  }
-  valid_ = true;
-  return true;
+  return adopt(topological_order(g));
 }
 
-bool DynamicTopoOrder::restore(const Digraph& g, std::vector<int> order) {
+bool DynamicTopoOrder::adopt(std::optional<std::vector<int>> order) {
   valid_ = false;
-  const std::size_t n = static_cast<std::size_t>(g.node_count());
-  if (order.size() != n) return false;
-  std::vector<int> pos(n, -1);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const int v = order[i];
-    if (v < 0 || static_cast<std::size_t>(v) >= n || pos[static_cast<std::size_t>(v)] != -1) {
+  order_.clear();
+  pos_.clear();
+  if (!order.has_value()) return false;
+  const std::size_t n = order->size();
+  pos_.assign(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int v = (*order)[i];
+    if (v < 0 || static_cast<std::size_t>(v) >= n ||
+        pos_[static_cast<std::size_t>(v)] != -1) {
+      pos_.clear();
       return false;  // not a permutation
     }
-    pos[static_cast<std::size_t>(v)] = static_cast<int>(i);
+    pos_[static_cast<std::size_t>(v)] = static_cast<int>(i);
   }
-  for (const Arc& arc : g.arcs()) {
-    if (pos[static_cast<std::size_t>(arc.from)] >=
-        pos[static_cast<std::size_t>(arc.to)]) {
-      return false;  // not a topological order of g
-    }
-  }
-  out_.assign(n, {});
-  in_.assign(n, {});
-  for (const Arc& arc : g.arcs()) {
-    out_[static_cast<std::size_t>(arc.from)].push_back(arc.to);
-    in_[static_cast<std::size_t>(arc.to)].push_back(arc.from);
-  }
-  order_ = std::move(order);
-  pos_ = std::move(pos);
+  order_ = std::move(*order);
   valid_ = true;
   return true;
 }
 
-void DynamicTopoOrder::add_node() {
-  out_.emplace_back();
-  in_.emplace_back();
-  pos_.push_back(static_cast<int>(order_.size()));
-  order_.push_back(static_cast<int>(out_.size()) - 1);
-}
-
-bool DynamicTopoOrder::add_arc(int from, int to) {
-  RELSCHED_CHECK(valid_, "DynamicTopoOrder used before a successful reset");
-  RELSCHED_CHECK(from >= 0 && from < node_count(), "arc tail out of range");
-  RELSCHED_CHECK(to >= 0 && to < node_count(), "arc head out of range");
-  if (from == to) return false;  // self loop is a cycle
-
-  const int lo = pos_[static_cast<std::size_t>(to)];
-  const int hi = pos_[static_cast<std::size_t>(from)];
-  if (lo > hi) {  // already consistent with the order
-    out_[static_cast<std::size_t>(from)].push_back(to);
-    in_[static_cast<std::size_t>(to)].push_back(from);
-    return true;
-  }
-
-  // Affected region: nodes with lo <= pos <= hi. Forward discovery from
-  // `to` finds delta_f; reaching `from` proves the new arc closes a
-  // cycle. Backward discovery from `from` finds delta_b.
-  std::vector<int> delta_f, delta_b, stack;
-  std::vector<bool> seen(static_cast<std::size_t>(node_count()), false);
-  stack.push_back(to);
-  seen[static_cast<std::size_t>(to)] = true;
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    if (v == from) return false;  // cycle: reject, nothing modified yet
-    delta_f.push_back(v);
-    for (int w : out_[static_cast<std::size_t>(v)]) {
-      if (!seen[static_cast<std::size_t>(w)] &&
-          pos_[static_cast<std::size_t>(w)] <= hi) {
-        seen[static_cast<std::size_t>(w)] = true;
-        stack.push_back(w);
-      }
-    }
-  }
-  stack.push_back(from);
-  seen[static_cast<std::size_t>(from)] = true;
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    delta_b.push_back(v);
-    for (int w : in_[static_cast<std::size_t>(v)]) {
-      if (!seen[static_cast<std::size_t>(w)] &&
-          pos_[static_cast<std::size_t>(w)] >= lo) {
-        seen[static_cast<std::size_t>(w)] = true;
-        stack.push_back(w);
-      }
-    }
-  }
-
-  // Reorder: delta_b keeps its internal order, then delta_f, packed into
-  // the union of their old positions (ascending).
-  const auto by_pos = [this](int a, int b) {
-    return pos_[static_cast<std::size_t>(a)] < pos_[static_cast<std::size_t>(b)];
-  };
-  std::sort(delta_b.begin(), delta_b.end(), by_pos);
-  std::sort(delta_f.begin(), delta_f.end(), by_pos);
-  std::vector<int> slots;
-  slots.reserve(delta_b.size() + delta_f.size());
-  for (int v : delta_b) slots.push_back(pos_[static_cast<std::size_t>(v)]);
-  for (int v : delta_f) slots.push_back(pos_[static_cast<std::size_t>(v)]);
-  std::sort(slots.begin(), slots.end());
+void DynamicTopoOrder::reorder() {
+  const auto by_pos = [this](int a, int b) { return position(a) < position(b); };
+  std::sort(delta_b_.begin(), delta_b_.end(), by_pos);
+  std::sort(delta_f_.begin(), delta_f_.end(), by_pos);
+  slots_.clear();
+  for (int v : delta_b_) slots_.push_back(position(v));
+  for (int v : delta_f_) slots_.push_back(position(v));
+  std::sort(slots_.begin(), slots_.end());
   std::size_t slot = 0;
-  for (int v : delta_b) {
-    pos_[static_cast<std::size_t>(v)] = slots[slot];
-    order_[static_cast<std::size_t>(slots[slot++])] = v;
+  for (const std::vector<int>* delta : {&delta_b_, &delta_f_}) {
+    for (int v : *delta) {
+      pos_[static_cast<std::size_t>(v)] = slots_[slot];
+      order_[static_cast<std::size_t>(slots_[slot++])] = v;
+    }
   }
-  for (int v : delta_f) {
-    pos_[static_cast<std::size_t>(v)] = slots[slot];
-    order_[static_cast<std::size_t>(slots[slot++])] = v;
-  }
-
-  out_[static_cast<std::size_t>(from)].push_back(to);
-  in_[static_cast<std::size_t>(to)].push_back(from);
-  return true;
-}
-
-bool DynamicTopoOrder::remove_arc(int from, int to) {
-  RELSCHED_CHECK(valid_, "DynamicTopoOrder used before a successful reset");
-  auto& out = out_[static_cast<std::size_t>(from)];
-  const auto oit = std::find(out.begin(), out.end(), to);
-  if (oit == out.end()) return false;
-  out.erase(oit);
-  auto& in = in_[static_cast<std::size_t>(to)];
-  const auto iit = std::find(in.begin(), in.end(), from);
-  RELSCHED_CHECK(iit != in.end(), "adjacency mirrors out of sync");
-  in.erase(iit);
-  return true;
 }
 
 }  // namespace relsched::graph

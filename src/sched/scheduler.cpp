@@ -149,9 +149,9 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const ScheduleOptions& options) {
   ScheduleResult result;
   if (options.prechecks) {
-    if (!g.validate().empty()) {
+    if (const auto issues = g.validate(); !issues.empty()) {
       result.status = ScheduleStatus::kInvalidGraph;
-      result.message = g.validate().front().message;
+      result.message = issues.front().message;
       return result;
     }
     const auto wp = wellposed::check(g);
@@ -301,10 +301,10 @@ ScheduleResult schedule(const cg::ConstraintGraph& g,
                         const ScheduleOptions& options) {
   // AnchorAnalysis::compute requires a valid, feasible graph; surface
   // those failures as statuses instead of tripping its preconditions.
-  if (!g.validate().empty()) {
+  if (const auto issues = g.validate(); !issues.empty()) {
     ScheduleResult result;
     result.status = ScheduleStatus::kInvalidGraph;
-    result.message = g.validate().front().message;
+    result.message = issues.front().message;
     return result;
   }
   if (!wellposed::is_feasible(g)) {

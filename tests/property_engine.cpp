@@ -8,12 +8,16 @@
 // agree with the cold pipeline at every step.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "base/thread_pool.hpp"
+#include "cg/graph_io.hpp"
 #include "engine/session.hpp"
 #include "graph/algorithms.hpp"
 #include "testutil.hpp"
@@ -125,6 +129,22 @@ void apply_edit(SynthesisSession& session, const EditSpec& e) {
   }
 }
 
+/// Whether remove_constraint(e) keeps polarity: a min constraint must
+/// not be its tail's only forward out-edge or its head's only forward
+/// in-edge.
+bool removable(const cg::ConstraintGraph& g, const cg::Edge& e) {
+  if (e.kind == cg::EdgeKind::kMaxConstraint) return true;
+  if (e.kind != cg::EdgeKind::kMinConstraint) return false;
+  int tail_out = 0, head_in = 0;
+  for (EdgeId oe : g.out_edges(e.from)) {
+    if (cg::is_forward(g.edge(oe).kind)) ++tail_out;
+  }
+  for (EdgeId ie : g.in_edges(e.to)) {
+    if (cg::is_forward(g.edge(ie).kind)) ++head_in;
+  }
+  return tail_out > 1 && head_in > 1;
+}
+
 /// Picks one random journaled edit applicable to `g`; nullopt when no
 /// applicable edit was found (caller skips the step).
 std::optional<EditSpec> pick_random_edit(const cg::ConstraintGraph& g,
@@ -181,24 +201,13 @@ std::optional<EditSpec> pick_random_edit(const cg::ConstraintGraph& g,
       return spec;
     }
     default: {  // remove a constraint edge (respecting polarity guards)
-      std::vector<EdgeId> removable;
+      std::vector<EdgeId> candidates;
       for (const cg::Edge& e : g.edges()) {
-        if (e.kind == cg::EdgeKind::kMaxConstraint) {
-          removable.push_back(e.id);
-        } else if (e.kind == cg::EdgeKind::kMinConstraint) {
-          int tail_out = 0, head_in = 0;
-          for (EdgeId oe : g.out_edges(e.from)) {
-            if (cg::is_forward(g.edge(oe).kind)) ++tail_out;
-          }
-          for (EdgeId ie : g.in_edges(e.to)) {
-            if (cg::is_forward(g.edge(ie).kind)) ++head_in;
-          }
-          if (tail_out > 1 && head_in > 1) removable.push_back(e.id);
-        }
+        if (removable(g, e)) candidates.push_back(e.id);
       }
-      if (removable.empty()) return std::nullopt;
+      if (candidates.empty()) return std::nullopt;
       spec.kind = EditSpec::Kind::kRemove;
-      spec.edge = removable[rng() % removable.size()];
+      spec.edge = candidates[rng() % candidates.size()];
       return spec;
     }
   }
@@ -456,6 +465,207 @@ TEST_P(EngineProperties, ParallelResolveMatchesSequentialUnderFaults) {
   }
   EXPECT_GT(corpora, 3) << "corpus too thin for seed " << GetParam();
   EXPECT_GT(caught, 0) << "no injected fault was ever caught";
+}
+
+/// True when a forward path leads from `from` to `to` in `g`.
+bool forward_reaches(const cg::ConstraintGraph& g, VertexId from,
+                     VertexId to) {
+  std::vector<bool> seen(static_cast<std::size_t>(g.vertex_count()), false);
+  std::vector<VertexId> stack = {from};
+  seen[from.index()] = true;
+  while (!stack.empty()) {
+    const VertexId v = stack.back();
+    stack.pop_back();
+    if (v == to) return true;
+    for (EdgeId eid : g.out_edges(v)) {
+      const cg::Edge& e = g.edge(eid);
+      if (cg::is_forward(e.kind) && !seen[e.to.index()]) {
+        seen[e.to.index()] = true;
+        stack.push_back(e.to);
+      }
+    }
+  }
+  return false;
+}
+
+/// `order` is a permutation of g's vertices under which every forward
+/// edge points forward.
+::testing::AssertionResult is_forward_order(const cg::ConstraintGraph& g,
+                                            const std::vector<int>& order) {
+  const std::size_t n = static_cast<std::size_t>(g.vertex_count());
+  if (order.size() != n) {
+    return ::testing::AssertionFailure()
+           << "order lists " << order.size() << " of " << n << " vertices";
+  }
+  std::vector<int> pos(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int v = order[i];
+    if (v < 0 || static_cast<std::size_t>(v) >= n ||
+        pos[static_cast<std::size_t>(v)] != -1) {
+      return ::testing::AssertionFailure()
+             << "not a permutation at position " << i;
+    }
+    pos[static_cast<std::size_t>(v)] = static_cast<int>(i);
+  }
+  for (const cg::Edge& e : g.edges()) {
+    if (cg::is_forward(e.kind) && pos[e.from.index()] >= pos[e.to.index()]) {
+      return ::testing::AssertionFailure()
+             << "forward edge v" << e.from << " -> v" << e.to
+             << " points backward";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Removes one min constraint from -> to, if one exists and polarity
+/// allows it. Edge ids shift under swap-pop removal, so the edge is
+/// found by its endpoints.
+bool remove_min(SynthesisSession& session, VertexId from, VertexId to) {
+  const cg::ConstraintGraph& g = session.graph();
+  for (const cg::Edge& e : g.edges()) {
+    if (e.kind == cg::EdgeKind::kMinConstraint && e.from == from &&
+        e.to == to && removable(g, e)) {
+      session.remove_constraint(e.id);
+      return true;
+    }
+  }
+  return false;
+}
+
+// The session's forward order under multi-edit transactions that stress
+// the Pearce-Kelly patch: a min constraint added and removed again in
+// one journal suffix, insertions against the order of the last resolve
+// (forcing a reorder), and cycle-closing insertions that are undone
+// later in the same transaction -- or left in place, so the commit
+// sees a forward cycle. After every commit the order must be a
+// topological order of the committed graph's Gf, the products must
+// match a cold recompute, and the commit must yield kInvalidGraph
+// exactly when validate() reports kForwardCycle.
+TEST_P(EngineProperties, OrderStaysTopologicalUnderMultiEditTransactions) {
+  std::mt19937 rng(GetParam() * 40503u + 3u);
+  int corpora = 0;
+  int against_order = 0;
+  int undone_cycles = 0;
+  int cyclic_commits = 0;
+  int warm_reorders = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    relsched::testing::RandomGraphParams params;
+    params.vertex_count = 8 + static_cast<int>(rng() % 14);
+    params.max_constraints = 1 + static_cast<int>(rng() % 3);
+    auto g = relsched::testing::random_constraint_graph(rng, params);
+    if (!g.validate().empty()) continue;
+    if (wellposed::make_wellposed(g).status != wellposed::Status::kWellPosed) {
+      continue;
+    }
+    const auto mode = static_cast<anchors::AnchorMode>(rng() % 3);
+    SessionOptions opts;
+    opts.schedule_mode = mode;
+    SynthesisSession session(std::move(g), opts);
+    if (!session.resolve().ok()) continue;
+    ++corpora;
+    const VertexId source = session.graph().source();
+    const VertexId sink = session.graph().sink();
+    // Min constraints this test added and means to remove again; `keep`
+    // ones stay in until the next transaction.
+    struct Added {
+      VertexId from, to;
+      bool cycle = false;
+      bool keep = false;
+    };
+    std::vector<Added> added;
+    const auto undo = [&](std::size_t k) {
+      if (!remove_min(session, added[k].from, added[k].to)) return;
+      if (added[k].cycle) ++undone_cycles;
+      added.erase(added.begin() + static_cast<std::ptrdiff_t>(k));
+    };
+
+    for (int batch = 0; batch < 10; ++batch) {
+      // The order of the last resolve: edits inside the transaction
+      // leave it alone until commit() patches it.
+      const std::vector<int> order = session.topo_order().order();
+      session.begin_txn();
+      for (std::size_t k = added.size(); k-- > 0;) undo(k);
+      bool reorders = false;
+      const int want = 2 + static_cast<int>(rng() % 5);
+      for (int j = 0; j < want; ++j) {
+        const unsigned kind = rng() % 4;
+        if (kind == 0 && !added.empty()) {
+          undo(rng() % added.size());  // undone mid-transaction
+          continue;
+        }
+        if (kind == 1 || order.size() < 3) {
+          random_edit(session, rng);
+          continue;
+        }
+        // An arc u -> v with v ordered before u: against the order, and
+        // cycle-closing when v already reaches u.
+        const std::size_t i = rng() % (order.size() - 1);
+        const std::size_t k = i + 1 + rng() % (order.size() - 1 - i);
+        const VertexId v(order[i]);
+        const VertexId u(order[k]);
+        if (u == sink || v == source) continue;  // would break polarity
+        Added arc{u, v, forward_reaches(session.graph(), v, u)};
+        session.add_min_constraint(u, v, static_cast<int>(rng() % 2));
+        if (!arc.cycle) {
+          ++against_order;
+          reorders = true;
+        }
+        // Cycles are always undone, one time in four only after the
+        // commit; other arcs are sometimes removed again.
+        arc.keep = arc.cycle && rng() % 4 == 0;
+        if (arc.cycle || kind == 2) added.push_back(arc);
+      }
+      for (std::size_t k = added.size(); k-- > 0;) {
+        if (!added[k].keep) undo(k);
+      }
+      const Products& committed = session.commit();
+      if (reorders && session.last_resolve_was_warm()) ++warm_reorders;
+
+      const cg::ConstraintGraph& graph = session.graph();
+      const auto issues = graph.validate();
+      const bool cyclic =
+          !issues.empty() &&
+          issues.front().kind == cg::ValidationIssue::Kind::kForwardCycle;
+      if (cyclic) ++cyclic_commits;
+      EXPECT_EQ(committed.schedule.status == sched::ScheduleStatus::kInvalidGraph,
+                cyclic)
+          << "batch " << batch << ": " << committed.schedule.message;
+      if (cyclic) {
+        EXPECT_FALSE(session.topo_order().valid()) << "batch " << batch;
+      } else {
+        EXPECT_TRUE(is_forward_order(graph, session.topo_order().order()))
+            << "batch " << batch;
+      }
+      expect_equivalent(committed, cold_pipeline(graph, mode), graph, batch);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(corpora, 3) << "corpus too thin for seed " << GetParam();
+  EXPECT_GT(against_order, 0) << "no insertion ever went against the order";
+  EXPECT_GT(undone_cycles, 0) << "no cycle-closing insertion was undone";
+  EXPECT_GT(cyclic_commits, 0) << "no commit ever saw a forward cycle";
+  EXPECT_GT(warm_reorders, 0) << "no reordering commit took the warm path";
+}
+
+// The cold resolve seeds its order from ConstraintGraph::forward_topo_order.
+// On the committed generated corpus that is exactly the Kahn order of
+// the forward Digraph projection the seed used to be computed from.
+TEST(EngineOrder, ColdSeedMatchesDigraphKahnOrderOnGeneratedCorpus) {
+  for (const char* name :
+       {"gen_s11_v200.cg", "gen_s22_v500.cg", "gen_s33_v1000.cg"}) {
+    std::ifstream in(std::string(RELSCHED_TEST_DATA_DIR) + "/" + name);
+    ASSERT_TRUE(in) << name;
+    std::stringstream text;
+    text << in.rdbuf();
+    cg::ParseResult parsed = cg::from_text(text.str());
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+    SynthesisSession session(std::move(*parsed.graph), {});
+    ASSERT_TRUE(session.resolve().ok()) << name;
+    const auto kahn =
+        graph::topological_order(session.graph().project_forward());
+    ASSERT_TRUE(kahn.has_value()) << name;
+    EXPECT_EQ(session.topo_order().order(), *kahn) << name;
+  }
 }
 
 // Deterministic excursions: a transaction may pass through an

@@ -6,6 +6,7 @@
 
 #include <dirent.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include "cg/graph_io.hpp"
 #include "engine/session.hpp"
 #include "persist/serialize.hpp"
+#include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "testutil.hpp"
 
@@ -481,7 +483,7 @@ void expect_same_products(const SynthesisSession& a,
   const Products& pb = b.products();
   EXPECT_EQ(pa.revision, pb.revision);
   EXPECT_EQ(pa.schedule.status, pb.schedule.status);
-  EXPECT_EQ(pa.topo, pb.topo);
+  EXPECT_EQ(a.topo_order().order(), b.topo_order().order());
   ASSERT_EQ(a.graph().vertex_count(), b.graph().vertex_count());
   for (int vi = 0; vi < a.graph().vertex_count(); ++vi) {
     EXPECT_EQ(pa.schedule.schedule.offsets(VertexId(vi)),
@@ -769,6 +771,89 @@ TEST(SessionCheckpoint, EditsAfterFailedResolveSurviveCheckpointRestore) {
   ASSERT_TRUE(session.resolve().ok());
   ASSERT_TRUE(restored->resolve().ok());
   expect_same_products(session, *restored);
+}
+
+/// The snapshot stores the session's forward order once (RSNAP001 v4).
+/// Rewrites that order in `dir`'s snapshot through `mutate`, keeping
+/// every other payload byte and re-framing with a valid checksum.
+void rewrite_snapshot_order(const std::string& dir,
+                            void (*mutate)(std::vector<int>&)) {
+  std::string payload;
+  ASSERT_TRUE(persist::read_framed_file(snapshot_path(dir), "RSNAP001", 4,
+                                        &payload)
+                  .ok());
+  persist::Reader r(payload);
+  cg::ConstraintGraph g;
+  ASSERT_TRUE(persist::load_graph(r, &g));
+  (void)r.u8();  // schedule_mode
+  (void)r.b();   // resolved_once
+  (void)r.b();   // pending_cold
+  Products products;
+  ASSERT_TRUE(load_products(r, &products));
+  ASSERT_TRUE(r.b()) << "snapshot carries no valid order";
+  const std::size_t begin = r.pos();
+  std::vector<int> order = r.vec_i32();
+  ASSERT_TRUE(r.ok());
+  const std::size_t end = r.pos();
+  mutate(order);
+  persist::Writer w;
+  w.vec_i32(order);
+  const std::string patched =
+      payload.substr(0, begin) + w.buffer() + payload.substr(end);
+  ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001", 4,
+                                         patched, /*durable=*/false)
+                  .ok());
+}
+
+/// Restore checks the stored order against the graph's forward edges
+/// itself: a non-permutation, a permutation under which a forward edge
+/// points backward, and an order of the wrong length are all rejected
+/// as kFormat; the untouched order restores. A v3 snapshot (which still
+/// stored a second copy of the order inside the products) is refused
+/// by version.
+TEST(SessionCheckpoint, RestoreRejectsAnOrderThatIsNotTopological) {
+  const std::string dir = persist::temp_dir("ckpt_bad_order");
+  testing::Fig2Graph fig;
+  SynthesisSession session(std::move(fig.g), {});
+  ASSERT_TRUE(session.resolve().ok());
+  ASSERT_TRUE(session.checkpoint(dir).ok());
+  std::string bytes;
+  ASSERT_TRUE(persist::read_file(snapshot_path(dir), &bytes).ok());
+  SynthesisSession::RestoreReport report;
+
+  rewrite_snapshot_order(dir, [](std::vector<int>&) {});
+  auto restored = SynthesisSession::restore(dir, {}, &report);
+  ASSERT_TRUE(restored.has_value()) << report.error.render();
+  expect_same_products(session, *restored);
+
+  using Mutation = void (*)(std::vector<int>&);
+  const Mutation bad[] = {
+      // A vertex listed twice, another missing.
+      [](std::vector<int>& o) { o[1] = o[0]; },
+      // The source moved last: its out-edges now point backward.
+      [](std::vector<int>& o) { std::rotate(o.begin(), o.begin() + 1, o.end()); },
+      // One vertex short.
+      [](std::vector<int>& o) { o.pop_back(); },
+  };
+  for (const Mutation mutate : bad) {
+    ASSERT_TRUE(persist::atomic_write_file(snapshot_path(dir), bytes, false)
+                    .ok());
+    rewrite_snapshot_order(dir, mutate);
+    EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
+    EXPECT_EQ(report.error.code, ErrorCode::kFormat) << report.error.render();
+  }
+
+  std::string payload;
+  ASSERT_TRUE(persist::atomic_write_file(snapshot_path(dir), bytes, false)
+                  .ok());
+  ASSERT_TRUE(persist::read_framed_file(snapshot_path(dir), "RSNAP001", 4,
+                                        &payload)
+                  .ok());
+  ASSERT_TRUE(persist::write_framed_file(snapshot_path(dir), "RSNAP001", 3,
+                                         payload, /*durable=*/false)
+                  .ok());
+  EXPECT_FALSE(SynthesisSession::restore(dir, {}, &report).has_value());
+  EXPECT_EQ(report.error.code, ErrorCode::kBadVersion);
 }
 
 /// Two sessions sharing one checkpoint directory, deterministically
