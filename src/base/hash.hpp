@@ -15,7 +15,8 @@
 
 namespace relsched::base {
 
-inline constexpr std::uint64_t kFnv1a64Seed = 1469598103934665603ULL;
+/// The FNV-1a 64-bit offset basis.
+inline constexpr std::uint64_t kFnv1a64Seed = 0xcbf29ce484222325ULL;
 
 /// Chainable: pass the previous digest as `seed` to extend the hash
 /// over another chunk.

@@ -18,8 +18,7 @@ VertexId ConstraintGraph::add_vertex(std::string name, Delay delay) {
   out_tail_.push_back(EdgeId::invalid());
   in_head_.push_back(EdgeId::invalid());
   in_tail_.push_back(EdgeId::invalid());
-  edits_.push_back(Edit{Edit::Kind::kAddVertex, /*structural=*/true,
-                        /*forward=*/true, id, id, {id}});
+  ++revision_;
   return id;
 }
 
@@ -57,6 +56,7 @@ EdgeId ConstraintGraph::add_edge(VertexId from, VertexId to, EdgeKind kind,
     // New ids are maximal, so appending keeps the index ascending.
     backward_ids_.push_back(id);
   }
+  ++revision_;
   return id;
 }
 
@@ -112,19 +112,13 @@ void ConstraintGraph::relabel_edge(EdgeId from_id, EdgeId to_id) {
 }
 
 EdgeId ConstraintGraph::add_sequencing_edge(VertexId from, VertexId to) {
-  const EdgeId id = add_edge(from, to, EdgeKind::kSequencing, 0);
-  edits_.push_back(Edit{Edit::Kind::kAddSequencingEdge, /*structural=*/true,
-                        /*forward=*/true, from, to, {from, to}});
-  return id;
+  return add_edge(from, to, EdgeKind::kSequencing, 0);
 }
 
 EdgeId ConstraintGraph::add_min_constraint(VertexId from, VertexId to,
                                            int min_cycles) {
   RELSCHED_CHECK(min_cycles >= 0, "minimum timing constraint must be >= 0");
-  const EdgeId id = add_edge(from, to, EdgeKind::kMinConstraint, min_cycles);
-  edits_.push_back(Edit{Edit::Kind::kAddMinConstraint, /*structural=*/false,
-                        /*forward=*/true, from, to, {from, to}});
-  return id;
+  return add_edge(from, to, EdgeKind::kMinConstraint, min_cycles);
 }
 
 EdgeId ConstraintGraph::add_max_constraint(VertexId from, VertexId to,
@@ -132,24 +126,16 @@ EdgeId ConstraintGraph::add_max_constraint(VertexId from, VertexId to,
   RELSCHED_CHECK(max_cycles >= 0, "maximum timing constraint must be >= 0");
   // sigma(to) <= sigma(from) + u  <=>  sigma(from) >= sigma(to) - u:
   // backward edge (to, from) with weight -u (Table I).
-  const EdgeId id = add_edge(to, from, EdgeKind::kMaxConstraint, -max_cycles);
-  edits_.push_back(Edit{Edit::Kind::kAddMaxConstraint, /*structural=*/false,
-                        /*forward=*/false, to, from, {to, from}});
-  return id;
+  return add_edge(to, from, EdgeKind::kMaxConstraint, -max_cycles);
 }
 
 void ConstraintGraph::set_delay(VertexId v, Delay delay) {
-  // A bounded<->unbounded flip changes the anchor set itself (and which
-  // out-edges carry unbounded weight): structural for consumers.
-  const bool flips =
-      vertices_[v.index()].delay.is_bounded() != delay.is_bounded();
   vertices_[v.index()].delay = delay;
   delay_code_[v.index()] = delay.is_unbounded() ? -1 : delay.cycles();
-  edits_.push_back(Edit{Edit::Kind::kSetDelay, /*structural=*/flips,
-                        /*forward=*/false, v, v, {v}});
+  ++revision_;
 }
 
-void ConstraintGraph::remove_constraint(EdgeId e) {
+Edge ConstraintGraph::remove_constraint(EdgeId e) {
   RELSCHED_CHECK(e.is_valid() && e.value() < edge_count(),
                  "edge id out of range");
   const Edge removed = edges_[e.index()];
@@ -163,16 +149,6 @@ void ConstraintGraph::remove_constraint(EdgeId e) {
     RELSCHED_CHECK(forward_in_count_[removed.to.index()] > 1,
                    "removal would leave the head unreachable");
   }
-  // Endpoint seeds suffice for the dirty cone (see Edit::seeds): any
-  // path the removal kills passes through the head, and consumers flood
-  // the union of all unconsumed seeds on the post-edit graph, where the
-  // surviving suffix of every such path still hangs off some removal's
-  // head. The tail is seeded too so anchor-row reuse checks can see
-  // edits incident to an anchor's cone boundary.
-  Edit edit{Edit::Kind::kRemoveConstraint, /*structural=*/false,
-            removed.kind == EdgeKind::kMinConstraint, removed.from, removed.to,
-            {removed.to, removed.from}};
-
   unlink_edge(e);
   if (is_forward(removed.kind)) {
     --forward_out_count_[removed.from.index()];
@@ -203,7 +179,8 @@ void ConstraintGraph::remove_constraint(EdgeId e) {
   }
   edges_.pop_back();
   links_.pop_back();
-  edits_.push_back(std::move(edit));
+  ++revision_;
+  return removed;
 }
 
 void ConstraintGraph::set_constraint_bound(EdgeId e, int cycles) {
@@ -215,9 +192,7 @@ void ConstraintGraph::set_constraint_bound(EdgeId e, int cycles) {
                  "sequencing edges have no bound");
   edge.fixed_weight =
       edge.kind == EdgeKind::kMinConstraint ? cycles : -cycles;
-  edits_.push_back(Edit{Edit::Kind::kSetConstraintBound, /*structural=*/false,
-                        /*forward=*/false, edge.from, edge.to,
-                        {edge.from, edge.to}});
+  ++revision_;
 }
 
 VertexId ConstraintGraph::sink() const {

@@ -83,46 +83,6 @@ struct EdgeWeight {
   bool unbounded = false;
 };
 
-/// One recorded mutation. Every mutating ConstraintGraph method appends
-/// an Edit to the journal and bumps the revision; the engine layer
-/// (engine::SynthesisSession) consumes the journal to derive dirty
-/// regions for incremental recomputation.
-struct Edit {
-  enum class Kind {
-    kAddVertex,
-    kAddSequencingEdge,
-    kAddMinConstraint,
-    kAddMaxConstraint,
-    kRemoveConstraint,
-    kSetConstraintBound,
-    kSetDelay,
-  };
-  Kind kind;
-  /// Structural edits (new vertices, sequencing edges, anchor-status
-  /// flips) invalidate incremental state wholesale; consumers fall back
-  /// to a cold rebuild.
-  bool structural = false;
-  /// True when the edit changes which edges exist in the forward graph
-  /// Gf (min-constraint insertion/removal): topological orders and
-  /// anchor sets may shift.
-  bool forward = false;
-  /// Endpoints in graph orientation (tail, head); the touched vertex
-  /// for kSetDelay. Note: edge ids recorded before a later
-  /// kRemoveConstraint may be stale (removal swap-pops the edge list),
-  /// so consumers key off vertices, never off journaled edge ids.
-  VertexId from = VertexId::invalid();
-  VertexId to = VertexId::invalid();
-  /// Dirty seed vertices: any value derived from a path through one of
-  /// these may have changed. Always the edit's endpoint vertices -- for
-  /// removals too: any path that used the removed edge (t, h) passes
-  /// through h, and the suffix of such a path after the *last* edge the
-  /// journal suffix removes survives into the current graph, so flooding
-  /// from the heads of every unconsumed removal covers all shrunk paths
-  /// (the engine consumes the journal suffix atomically and floods from
-  /// the union of its seeds).
-  std::vector<VertexId> seeds;
-};
-
 /// Outcome of structural validation.
 struct ValidationIssue {
   enum class Kind {
@@ -164,16 +124,15 @@ class ConstraintGraph {
   //
   // Constraint edges can be removed and re-weighted after construction.
   // Together with add_min_constraint / add_max_constraint / set_delay
-  // these form the edit surface of the incremental engine: each call
-  // bumps revision() and journals its dirty region.
+  // these form the edit surface of the incremental engine.
 
   /// Removes a min- or max-constraint edge (sequencing edges carry the
   /// structural dependences and cannot be removed). The last edge is
   /// swap-popped into the freed slot, so `e` and the previously-last
   /// EdgeId are invalidated; all other ids are stable. Removing a
   /// min-constraint that is some vertex's only forward in/out edge
-  /// would break polarity and is rejected.
-  void remove_constraint(EdgeId e);
+  /// would break polarity and is rejected. Returns the removed edge.
+  Edge remove_constraint(EdgeId e);
 
   /// Rewrites the bound of a constraint edge: min_cycles l >= 0 for a
   /// min constraint, max_cycles u >= 0 for a max constraint (stored as
@@ -181,43 +140,18 @@ class ConstraintGraph {
   /// well-posedness are untouched.
   void set_constraint_bound(EdgeId e, int cycles);
 
-  /// Monotone counter bumped by every mutation (== total edits so far,
-  /// including entries dropped by rebase_journal()).
-  [[nodiscard]] std::uint64_t revision() const {
-    return journal_base_ + edits_.size();
-  }
+  /// Monotone counter bumped by every mutation, construction included
+  /// (== total mutations so far). Caches key their products by it.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
 
-  /// The retained journal suffix: entries with revisions
-  /// [journal_base(), revision()). Consumers remember the revision they
-  /// have already applied and replay `edits()[r - journal_base()]`
-  /// onwards.
-  [[nodiscard]] const std::vector<Edit>& edits() const { return edits_; }
-
-  /// First revision still present in edits().
-  [[nodiscard]] std::uint64_t journal_base() const { return journal_base_; }
-
-  /// Branch point: forgets the retained journal (all entries are known
-  /// to be consumed by every observer of this copy). revision() is
-  /// unchanged -- it stays monotone across the rebase -- so caches keyed
-  /// by revision remain valid. Used when forking a session: the fork's
-  /// graph starts with an empty journal instead of dragging the parent's
-  /// edit history along.
-  void rebase_journal() {
-    journal_base_ += edits_.size();
-    edits_.clear();
-  }
-
-  /// Checkpoint support: after rebuilding a graph from a snapshot, the
-  /// construction journal describes edits the snapshot's products have
-  /// by definition already consumed. Drops it and adopts the snapshot's
-  /// revision counter, so consumers keyed by absolute revision (engine
-  /// product caches, WAL records) line up with the original session.
-  /// `revision` must not go backwards.
+  /// Checkpoint support: after rebuilding a graph from a snapshot, adopts
+  /// the snapshot's revision counter, so consumers keyed by absolute
+  /// revision (engine product caches, WAL records) line up with the
+  /// original session. `revision` must not go backwards.
   void restore_revision(std::uint64_t revision) {
-    RELSCHED_CHECK(revision >= this->revision(),
+    RELSCHED_CHECK(revision >= revision_,
                    "restore_revision cannot rewind the revision counter");
-    edits_.clear();
-    journal_base_ = revision;
+    revision_ = revision;
   }
 
   // ---- Accessors ----------------------------------------------------------
@@ -388,8 +322,7 @@ class ConstraintGraph {
   std::vector<EdgeId> out_head_, out_tail_, in_head_, in_tail_;
   /// Backward (max-constraint) edge ids, ascending.
   std::vector<EdgeId> backward_ids_;
-  std::vector<Edit> edits_;
-  std::uint64_t journal_base_ = 0;
+  std::uint64_t revision_ = 0;
 };
 
 }  // namespace relsched::cg

@@ -57,7 +57,9 @@ struct ParseResult {
 ParseResult from_text(std::string_view text);
 
 inline constexpr std::string_view kBinaryGraphMagic = "RSGB0001";
-inline constexpr std::uint32_t kBinaryGraphVersion = 1;
+/// v2: the checksum uses the true FNV-1a offset basis (v1 files were
+/// framed with a mistyped one and are rejected as unsupported).
+inline constexpr std::uint32_t kBinaryGraphVersion = 2;
 
 /// Writes `g` to `path` in the binary format, streamed through a
 /// fixed-size chunk buffer. Returns an empty string on success, else a

@@ -43,8 +43,7 @@ struct DesignControl {
 };
 
 /// Generates control for every graph of a synthesized design.
-DesignControl generate_design_control(const seq::Design& design,
-                                      const driver::SynthesisResult& synthesis,
+DesignControl generate_design_control(const driver::SynthesisResult& synthesis,
                                       const ControlOptions& options = {});
 
 }  // namespace relsched::ctrl

@@ -941,8 +941,7 @@ int main(int argc, char** argv) {
       ctrl::ControlOptions copts;
       copts.style = counter ? ctrl::ControlStyle::kCounter
                             : ctrl::ControlStyle::kShiftRegister;
-      const auto control =
-          ctrl::generate_design_control(design, result, copts);
+      const auto control = ctrl::generate_design_control(result, copts);
       std::cout << control.to_verilog(design, result, design.name()) << "\n";
       const auto dp =
           rtl::generate_datapath(design, result, design.name() + "_dp");

@@ -52,10 +52,7 @@ bool certify_default() {
 
 SynthesisSession::SynthesisSession(cg::ConstraintGraph graph,
                                    SessionOptions options)
-    : graph_(std::move(graph)), options_(options) {
-  // Construction-time history is irrelevant: the first resolve is cold.
-  consumed_edits_ = graph_.revision();
-}
+    : graph_(std::move(graph)), options_(options) {}
 
 SessionStats SynthesisSession::stats() const {
   SessionStats s = stats_;
@@ -81,29 +78,26 @@ const Products& SynthesisSession::commit() {
   // Cone accounting for the batch: what one-resolve-per-edit would have
   // flooded (sum of per-edit cones) vs. the single merged cone this
   // commit floods. Both are measured on the committed graph so the
-  // comparison is apples-to-apples; skipped when the batch contains a
-  // structural edit, which forces a cold resolve with no cone at all.
-  const std::vector<cg::Edit>& edits = graph_.edits();
-  const std::uint64_t base = graph_.journal_base();
-  RELSCHED_CHECK(consumed_edits_ >= base, "journal rebased past consumer");
-  const std::size_t begin = static_cast<std::size_t>(consumed_edits_ - base);
-  stats_.last_txn_edits = static_cast<int>(edits.size() - begin);
+  // comparison is apples-to-apples; skipped when the batch forces a
+  // cold resolve, which floods no cone at all.
+  stats_.last_txn_edits = static_cast<int>(pending_.size());
   ++stats_.transactions;
   stats_.edits_coalesced += stats_.last_txn_edits;
   stats_.last_merged_cone_vertices = 0;
   stats_.last_cone_vertices_sum = 0;
 
-  bool structural = false;
-  for (std::size_t i = begin; i < edits.size(); ++i) {
-    structural = structural || edits[i].structural;
-  }
-  if (!structural && resolved_once_) {
+  const bool cold =
+      force_cold_ ||
+      std::any_of(pending_.begin(), pending_.end(), [](const PendingEdit& e) {
+        return e.effect == PendingEdit::Effect::kAnchorFlip;
+      });
+  if (!cold && resolved_once_) {
     long long sum = 0;
     std::vector<VertexId> merged_seeds;
-    for (std::size_t i = begin; i < edits.size(); ++i) {
-      sum += flood_count(edits[i].seeds);
-      merged_seeds.insert(merged_seeds.end(), edits[i].seeds.begin(),
-                          edits[i].seeds.end());
+    for (const PendingEdit& e : pending_) {
+      sum += flood_count(e.seeds);
+      merged_seeds.insert(merged_seeds.end(), std::begin(e.seeds),
+                          std::end(e.seeds));
     }
     stats_.last_cone_vertices_sum = sum;
     stats_.last_merged_cone_vertices = flood_count(merged_seeds);
@@ -111,7 +105,7 @@ const Products& SynthesisSession::commit() {
   return resolve();
 }
 
-int SynthesisSession::flood_count(const std::vector<VertexId>& seeds) const {
+int SynthesisSession::flood_count(std::span<const VertexId> seeds) const {
   flood_mask_.reset(graph_.vertex_count());
   flood_worklist_.clear();
   for (VertexId s : seeds) {
@@ -137,10 +131,6 @@ SynthesisSession SynthesisSession::fork() const {
                      products_.revision == graph_.revision(),
                  "fork() requires a current resolve() and no open transaction");
   SynthesisSession f(graph_, options_);
-  // Branch point: the fork's journal starts empty at the same revision,
-  // so the parent's consumed edit history is not dragged along.
-  f.graph_.rebase_journal();
-  f.consumed_edits_ = f.graph_.revision();
   // Copy-on-write product copy: the anchor path rows stay shared with
   // this session until the fork's own resolves patch them.
   f.products_ = products_;
@@ -177,52 +167,47 @@ const Products& SynthesisSession::resolve() {
   watchdog_ =
       base::Watchdog(options_.cancel, options_.deadline, options_.step_limit);
 
-  // Fold the journal suffix into one dirty description: the union of
-  // the edits' seed vertices, deduped, floods a single merged cone in
-  // try_incremental() no matter how many edits the suffix holds.
-  const std::vector<cg::Edit>& edits = graph_.edits();
-  const std::uint64_t base = graph_.journal_base();
-  RELSCHED_CHECK(consumed_edits_ >= base, "journal rebased past consumer");
+  // Fold the pending edits into one dirty description: the union of
+  // their seed vertices, deduped, floods a single merged cone in
+  // try_incremental() no matter how many edits are pending.
   bool structural = force_cold_ || !resolved_once_ || !products_.ok();
   bool forward_changed = false;
   std::vector<VertexId> seeds;
   fold_seen_.reset(graph_.vertex_count());
-  const std::size_t fold_begin =
-      static_cast<std::size_t>(consumed_edits_ - base);
-  // Fault injection (tests): pretend one suffix entry was never
-  // journaled, so its seeds are missing from the merged dirty cone.
-  std::size_t dropped_entry = edits.size();
+  // Fault injection (tests): pretend one pending edit was never logged,
+  // so its seeds are missing from the merged dirty cone.
+  std::size_t dropped_entry = pending_.size();
   if (fault_.kind == FaultInjector::Kind::kDropJournalEntry &&
-      edits.size() > fold_begin) {
-    dropped_entry = fold_begin + static_cast<std::size_t>(
-                                     fault_.seed % (edits.size() - fold_begin));
+      !pending_.empty()) {
+    dropped_entry = static_cast<std::size_t>(fault_.seed % pending_.size());
     fault_.kind = FaultInjector::Kind::kNone;
   }
-  for (std::size_t i = fold_begin; i < edits.size(); ++i) {
+  for (std::size_t i = 0; i < pending_.size() && !structural; ++i) {
     if (i == dropped_entry) continue;
-    const cg::Edit& e = edits[i];
-    if (e.structural) structural = true;
-    if (e.forward && (e.kind == cg::Edit::Kind::kAddMinConstraint ||
-                      e.kind == cg::Edit::Kind::kRemoveConstraint)) {
+    const PendingEdit& e = pending_[i];
+    if (e.effect == PendingEdit::Effect::kAnchorFlip) {
+      structural = true;
+      break;
+    }
+    if (e.effect == PendingEdit::Effect::kInsertForward ||
+        e.effect == PendingEdit::Effect::kRemoveForward) {
       forward_changed = true;
     }
     for (VertexId s : e.seeds) {
-      // A structural edit may have grown the vertex set past the mask;
-      // irrelevant, since structural forces the cold path anyway.
-      if (structural) break;
       if (!fold_seen_.contains(s)) {
         fold_seen_.insert(s);
         seeds.push_back(s);
       }
     }
   }
-  consumed_edits_ = graph_.revision();
 
   // A watchdog-stopped resolve leaves kCancelled products (set by the
   // path that observed the stop); those are never certified -- "stopped
   // early" is not a verdict a cold cross-check could agree with -- and
   // the next resolve recomputes cold (kCancelled products are not ok()).
-  if (structural || !try_incremental(seeds, forward_changed)) {
+  const bool warm = !structural && try_incremental(seeds, forward_changed);
+  pending_.clear();
+  if (!warm) {
     cold_resolve();
     if (watchdog_.stopped()) {
       ++stats_.cancelled_resolves;
@@ -334,20 +319,16 @@ void SynthesisSession::cold_resolve() {
 
 bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
                                        bool forward_changed) {
-  // Patch the topological order edge by edge, in journal order. A
+  // Patch the topological order edge by edge, in edit order. A
   // min-constraint insertion that closes a forward cycle makes the
   // graph invalid; defer to the cold path, which reports it. The
   // Pearce-Kelly search reads the current graph's forward edges and
   // follows only those already pointing forward in the order, so edges
-  // inserted later in the suffix wait for their own insertion and
-  // edges removed since are simply not there; a removal never
-  // invalidates the order and needs no step of its own.
+  // inserted later in the log wait for their own insertion and edges
+  // removed since are simply not there; a removal never invalidates
+  // the order and needs no step of its own.
   if (!topo_.valid()) return false;
   const Clock::time_point t_begin = Clock::now();
-  // The journal suffix since the last resolve: products_.revision is
-  // the absolute revision the cached products were computed at.
-  const std::vector<cg::Edit>& edits = graph_.edits();
-  const std::uint64_t base = graph_.journal_base();
   const auto successors = [this](int v, auto&& visit) {
     for (EdgeId eid : graph_.out_edges(VertexId(v))) {
       const cg::Edge& e = graph_.edge(eid);
@@ -360,21 +341,19 @@ bool SynthesisSession::try_incremental(const std::vector<VertexId>& seeds,
       if (cg::is_forward(e.kind)) visit(e.from.value());
     }
   };
-  for (std::size_t i = static_cast<std::size_t>(products_.revision - base);
-       i < edits.size(); ++i) {
-    const cg::Edit& e = edits[i];
-    if (e.kind == cg::Edit::Kind::kAddMinConstraint &&
-        !topo_.add_arc(e.from.value(), e.to.value(), successors,
+  for (const PendingEdit& e : pending_) {
+    if (e.effect == PendingEdit::Effect::kInsertForward &&
+        !topo_.add_arc(e.seeds[0].value(), e.seeds[1].value(), successors,
                        predecessors)) {
       return false;
     }
   }
 
   // Dirty cone: everything reachable from a seed in the current full
-  // graph. One flood covers the whole journal suffix -- k edits, one
-  // merged cone. (Removal edits seed their endpoints: the surviving
-  // suffix of any killed path hangs off some removal's head, so shrunk
-  // paths are covered too; see cg::Edit::seeds.) The mask is pooled and
+  // graph. One flood covers every pending edit -- k edits, one merged
+  // cone. (Removal edits seed their endpoints: the surviving suffix of
+  // any killed path hangs off some removal's head, so shrunk paths are
+  // covered too; see PendingEdit::seeds.) The mask is pooled and
   // the worklist doubles as the published cone: the flood costs
   // O(|cone|), not O(V).
   affected_mask_.reset(graph_.vertex_count());
@@ -697,7 +676,6 @@ std::optional<SynthesisSession> SynthesisSession::restore(
   } else {
     s.potentials_ = std::move(potentials);
   }
-  s.consumed_edits_ = s.graph_.revision();
   ++s.stats_.restores;
 
   const std::string wal = persist::wal_path(dir);

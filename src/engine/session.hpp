@@ -4,15 +4,15 @@
 // pipeline derives from it -- forward topological order, anchor
 // analysis, well-posedness verdict, relative schedule -- cached and
 // keyed by the graph's revision counter. Edits flow through the
-// graph's journaled edit API (cg::ConstraintGraph::edits()); resolve()
-// replays the journal suffix since the last resolve and chooses:
+// session's edit wrappers, which log what each edit dirties; resolve()
+// folds the edits logged since the last resolve and chooses:
 //
-//   cold  - any structural edit (new vertex / sequencing edge /
-//           anchor-status flip), an invalid cached state, or a patch
+//   cold  - an anchor-status flip, a mutation through
+//           mutable_graph(), an invalid cached state, or a patch
 //           failure: recompute everything from scratch.
 //   warm  - constraint-only edits on top of a scheduled state: patch
 //           the dynamic topological order (Pearce-Kelly), flood the
-//           dirty cone from the journal's seed vertices, re-establish
+//           dirty cone from the edits' endpoint vertices, re-establish
 //           feasibility by label-correcting the previous schedule's
 //           start-time potentials, update the anchor analysis on the
 //           cone only, re-check containment on touched backward edges,
@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -133,15 +134,15 @@ struct FaultInjector {
     /// Clear one vertex's dirty bit after the cone flood, so the
     /// anchor-analysis patch and containment recheck skip it.
     kFlipDirtyBit,
-    /// Skip one journal entry's seeds when folding the edit suffix,
-    /// as if the edit had never been journaled.
+    /// Skip one pending edit's seeds when folding the edit log, as if
+    /// the edit had never been logged.
     kDropJournalEntry,
     /// Truncate one anchor's longest-path row (kNegInf tail), as if a
     /// row recompute had been interrupted.
     kTruncateAnchorRow,
   };
   Kind kind = Kind::kNone;
-  /// Selects the victim (vertex / journal entry / anchor) by modular
+  /// Selects the victim (vertex / pending edit / anchor) by modular
   /// arithmetic, so every seed is valid for every graph.
   std::uint64_t seed = 0;
 };
@@ -175,7 +176,7 @@ struct SessionStats {
   // ---- Transactions ------------------------------------------------------
   /// commit() calls served.
   int transactions = 0;
-  /// Journaled edits folded into committed transactions.
+  /// Logged edits folded into committed transactions.
   long long edits_coalesced = 0;
   /// Edits in the most recent commit().
   int last_txn_edits = 0;
@@ -248,10 +249,10 @@ class SynthesisSession {
 
   [[nodiscard]] const cg::ConstraintGraph& graph() const { return graph_; }
 
-  /// Escape hatch for mutations outside the journaled edit API below;
-  /// the next resolve() is forced cold. Incompatible with an attached
-  /// WAL: out-of-band mutations would not be logged, so recovery would
-  /// replay onto a graph the log has never seen.
+  /// Escape hatch for mutations outside the edit wrappers below (they
+  /// are not logged); the next resolve() is forced cold. Incompatible
+  /// with an attached WAL: out-of-band mutations would not be logged,
+  /// so recovery would replay onto a graph the log has never seen.
   cg::ConstraintGraph& mutable_graph() {
     RELSCHED_CHECK(wal_ == nullptr,
                    "mutable_graph() bypasses the write-ahead log; detach or "
@@ -260,41 +261,58 @@ class SynthesisSession {
     return graph_;
   }
 
-  // ---- Edits (forwarded to the graph's journaled edit API) ---------------
-  // Each wrapper appends a WAL record after the graph mutation succeeds
-  // (no-op without an attached WAL), carrying the post-edit revision so
+  // ---- Edits (forwarded to the graph's edit API) -------------------------
+  // Each wrapper, once the graph mutation succeeds, logs what the edit
+  // dirties for the next resolve() and appends a WAL record (no-op
+  // without an attached WAL) carrying the post-edit revision, so
   // recovery can line records up against a snapshot.
 
   EdgeId add_min_constraint(VertexId from, VertexId to, int min_cycles) {
     const EdgeId e = graph_.add_min_constraint(from, to, min_cycles);
-    wal_edit(persist::WalRecord::Op::kAddMin, from.value(), to.value(),
+    log_edit({{from, to}, PendingEdit::Effect::kInsertForward},
+             persist::WalRecord::Op::kAddMin, from.value(), to.value(),
              min_cycles);
     return e;
   }
   EdgeId add_max_constraint(VertexId from, VertexId to, int max_cycles) {
     const EdgeId e = graph_.add_max_constraint(from, to, max_cycles);
-    wal_edit(persist::WalRecord::Op::kAddMax, from.value(), to.value(),
+    // Seeds in graph orientation: the backward edge runs (to, from).
+    log_edit({{to, from}, PendingEdit::Effect::kWeight},
+             persist::WalRecord::Op::kAddMax, from.value(), to.value(),
              max_cycles);
     return e;
   }
   void remove_constraint(EdgeId e) {
-    graph_.remove_constraint(e);
-    wal_edit(persist::WalRecord::Op::kRemoveConstraint, e.value(), 0, 0);
+    const cg::Edge removed = graph_.remove_constraint(e);
+    log_edit({{removed.to, removed.from},
+              removed.kind == cg::EdgeKind::kMinConstraint
+                  ? PendingEdit::Effect::kRemoveForward
+                  : PendingEdit::Effect::kWeight},
+             persist::WalRecord::Op::kRemoveConstraint, e.value(), 0, 0);
   }
   void set_constraint_bound(EdgeId e, int cycles) {
     graph_.set_constraint_bound(e, cycles);
-    wal_edit(persist::WalRecord::Op::kSetBound, e.value(), 0, cycles);
+    const cg::Edge& edge = graph_.edge(e);
+    log_edit({{edge.from, edge.to}, PendingEdit::Effect::kWeight},
+             persist::WalRecord::Op::kSetBound, e.value(), 0, cycles);
   }
   void set_delay(VertexId v, cg::Delay delay) {
+    // A bounded<->unbounded flip changes the anchor set itself (and
+    // which out-edges carry unbounded weight).
+    const bool flips =
+        graph_.vertex(v).delay.is_bounded() != delay.is_bounded();
     graph_.set_delay(v, delay);
-    wal_edit(persist::WalRecord::Op::kSetDelay, v.value(), 0,
+    log_edit({{v, v},
+              flips ? PendingEdit::Effect::kAnchorFlip
+                    : PendingEdit::Effect::kWeight},
+             persist::WalRecord::Op::kSetDelay, v.value(), 0,
              delay.is_bounded() ? static_cast<std::int64_t>(delay.cycles())
                                 : std::int64_t{-1});
   }
 
   // ---- Transactions ------------------------------------------------------
 
-  /// Opens an edit transaction. Edits are journaled as usual but must
+  /// Opens an edit transaction. Edits are logged as usual but must
   /// not be resolved until commit(); the commit folds the whole batch
   /// into one merged-cone resolve. Transactions do not nest.
   void begin_txn();
@@ -310,11 +328,10 @@ class SynthesisSession {
 
   /// Copies this session for an independent what-if exploration. The
   /// fork starts resolved at the same revision with copy-on-write
-  /// products (anchor path rows shared until patched) and an empty
-  /// journal (the parent graph's retained journal is rebased away).
-  /// Requires a current resolve() and no open transaction. Thread-safe
-  /// against concurrent fork() calls on the same parent as long as the
-  /// parent is not concurrently edited or resolved.
+  /// products (anchor path rows shared until patched) and no pending
+  /// edits. Requires a current resolve() and no open transaction.
+  /// Thread-safe against concurrent fork() calls on the same parent as
+  /// long as the parent is not concurrently edited or resolved.
   [[nodiscard]] SynthesisSession fork() const;
 
   // ---- Resolution --------------------------------------------------------
@@ -482,7 +499,7 @@ class SynthesisSession {
   /// Applies a batch of WAL records (already parsed, e.g. streamed from
   /// a replication primary) on top of the current state: edits with
   /// revisions the session has not seen are re-applied through the
-  /// journaled edit API -- so with a WAL attached, replicated edits are
+  /// edit wrappers -- so with a WAL attached, replicated edits are
   /// re-journaled into *this* session's own log -- and each commit
   /// marker past the resolved revision triggers a resolve(). `origin`
   /// labels errors (a path or peer name). replay_wal() is this plus
@@ -499,6 +516,47 @@ class SynthesisSession {
   }
 
  private:
+  /// One edit since the last resolve, as the warm path needs it. The
+  /// edit wrappers append it; resolve() folds the list and clears it.
+  struct PendingEdit {
+    /// Dirty seed vertices: any value derived from a path through one
+    /// of these may have changed. The edit's endpoints in graph
+    /// orientation (tail, head), head first for removals; the touched
+    /// vertex twice for set_delay. A removal's seeds cover every path
+    /// it kills: such a path passes through the head, and the suffix
+    /// after the *last* edge the log removes survives into the current
+    /// graph, so flooding from the heads of all pending removals covers
+    /// every shrunk path. The tail is seeded so anchor-row reuse checks
+    /// see edits incident to an anchor's cone boundary. No edge ids:
+    /// removal swap-pops the edge slab, so a logged id may go stale.
+    VertexId seeds[2];
+    enum class Effect : std::uint8_t {
+      /// Weights only: Gf's edge set and the anchor set are unchanged.
+      kWeight,
+      /// Min-constraint insertion (seeds[0], seeds[1]): the topological
+      /// order is patched and anchor sets may shift.
+      kInsertForward,
+      /// Min-constraint removal: anchor sets may shift.
+      kRemoveForward,
+      /// Bounded<->unbounded delay flip: the next resolve is cold.
+      kAnchorFlip,
+    } effect = Effect::kWeight;
+  };
+
+  /// Records one successful edit: its dirty region for the next
+  /// resolve() and its WAL record (the latter only with a WAL attached).
+  void log_edit(PendingEdit pending, persist::WalRecord::Op op,
+                std::int32_t a, std::int32_t b, std::int64_t value) {
+    pending_.push_back(pending);
+    if (wal_ == nullptr) return;
+    persist::WalRecord rec;
+    rec.op = op;
+    rec.revision = graph_.revision();
+    rec.a = a;
+    rec.b = b;
+    rec.value = value;
+    wal_->append(rec);
+  }
   void cold_resolve();
   /// Warm path; returns false when it must defer to cold_resolve()
   /// (e.g. a min-constraint insertion closed a forward cycle).
@@ -516,22 +574,10 @@ class SynthesisSession {
   void adopt_schedule();
   /// |reachable set| from `seeds` over the current full graph; the
   /// cone-accounting primitive behind commit()'s statistics.
-  [[nodiscard]] int flood_count(const std::vector<VertexId>& seeds) const;
+  [[nodiscard]] int flood_count(std::span<const VertexId> seeds) const;
   /// Replaces products_ with a kCancelled/kTimeout verdict carrying the
   /// watchdog's stop reason; the next resolve recomputes cold.
   void cancelled_products();
-  /// Appends one edit record to the attached WAL (no-op without one).
-  void wal_edit(persist::WalRecord::Op op, std::int32_t a, std::int32_t b,
-                std::int64_t value) {
-    if (wal_ == nullptr) return;
-    persist::WalRecord rec;
-    rec.op = op;
-    rec.revision = graph_.revision();
-    rec.a = a;
-    rec.b = b;
-    rec.value = value;
-    wal_->append(rec);
-  }
   /// Re-certifies just-restored products; discards them (cold
   /// re-resolve) when the certificate fails.
   void verify_restored(RestoreReport& report);
@@ -565,7 +611,7 @@ class SynthesisSession {
   /// The cone listed in forward topological order (UpdatePlan /
   /// restricted reschedule input).
   std::vector<VertexId> affected_topo_;
-  /// Seed dedup for the journal-suffix fold.
+  /// Seed dedup for the pending-edit fold.
   base::VertexMask fold_seen_;
   /// SPFA feasibility scratch, scrubbed incrementally across resolves.
   wellposed::SpfaWorkspace spfa_ws_;
@@ -573,10 +619,9 @@ class SynthesisSession {
   /// the const statistics helper.
   mutable base::VertexMask flood_mask_;
   mutable std::vector<VertexId> flood_worklist_;
+  /// Edits logged since the last resolve, in edit order.
+  std::vector<PendingEdit> pending_;
   bool last_resolve_was_warm_ = false;
-  /// Journal entries already folded into `products_`, as an absolute
-  /// revision (survives the graph's journal rebases).
-  std::uint64_t consumed_edits_ = 0;
   bool resolved_once_ = false;
   bool force_cold_ = false;
   bool in_txn_ = false;

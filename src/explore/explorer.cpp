@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "base/error.hpp"
+#include "base/hash.hpp"
 #include "base/strings.hpp"
 #include "persist/snapshot.hpp"
 
@@ -154,7 +155,7 @@ std::uint64_t Explorer::config_hash(
       w.i32(op.cycles);
     }
   }
-  return persist::fnv1a64(w.buffer());
+  return base::fnv1a64(w.buffer());
 }
 
 persist::Error Explorer::load_checkpoint(std::uint64_t config,

@@ -97,14 +97,6 @@ Error Error::make(ErrorCode code, std::string message, std::string path) {
   return e;
 }
 
-std::uint64_t fnv1a64(const void* data, std::size_t size, std::uint64_t seed) {
-  return base::fnv1a64(data, size, seed);
-}
-
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) {
-  return fnv1a64(data.data(), data.size(), seed);
-}
-
 void Writer::u32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
@@ -341,7 +333,7 @@ Error write_framed_file(const std::string& path, std::string_view magic,
   frame.append(magic.data(), magic.size());
   w.u32(version);
   w.u64(payload.size());
-  w.u64(fnv1a64(payload));
+  w.u64(base::fnv1a64(payload));
   frame += w.buffer();
   frame.append(payload.data(), payload.size());
   return atomic_write_file(path, frame, durable);
@@ -382,7 +374,7 @@ Error read_framed_file(const std::string& path, std::string_view magic,
                        path);
   }
   const std::string_view exact = body.substr(0, length);
-  if (fnv1a64(exact) != checksum) {
+  if (base::fnv1a64(exact) != checksum) {
     return Error::make(ErrorCode::kChecksum,
                        "payload bytes do not match the stored checksum",
                        path);

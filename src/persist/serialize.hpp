@@ -7,7 +7,7 @@
 //                      encoding into/out of a byte buffer. Readers
 //                      never trust a length field further than the
 //                      bytes actually present.
-//   fnv1a64          - the checksum guarding every persisted payload.
+//   base::fnv1a64    - the checksum guarding every persisted payload.
 //   framed files     - magic + version + length + checksum envelope;
 //                      a torn or bit-flipped file is detected and
 //                      rejected with a structured Error, never loaded.
@@ -60,17 +60,6 @@ struct Error {
   static Error make(ErrorCode code, std::string message,
                     std::string path = {});
 };
-
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/// FNV-1a 64-bit over `data`; chainable via `seed`. (Implemented in
-/// base/hash.hpp so layers below persist -- the binary graph format in
-/// cg -- share the exact checksum; kept here as the persist-facing
-/// name.)
-[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t size,
-                                    std::uint64_t seed = kFnvOffset);
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view data,
-                                    std::uint64_t seed = kFnvOffset);
 
 /// Appends little-endian fixed-width values to a byte buffer.
 class Writer {

@@ -7,6 +7,7 @@
 
 #include "base/env.hpp"
 #include "base/fault_fs.hpp"
+#include "base/hash.hpp"
 #include "base/errno_text.hpp"
 #include "base/strings.hpp"
 
@@ -42,7 +43,7 @@ std::string encode_record(const WalRecord& record) {
   std::string out = frame.take();
   out += payload.buffer();
   Writer sum;
-  sum.u64(fnv1a64(payload.buffer()));
+  sum.u64(base::fnv1a64(payload.buffer()));
   out += sum.buffer();
   return out;
 }
@@ -150,7 +151,7 @@ Wal::ReadResult parse(const std::string& path, std::string_view data,
     }
     const std::string_view payload = data.substr(off + 4, kPayloadSize);
     Reader sumr(data.substr(off + 4 + kPayloadSize, 8));
-    if (fnv1a64(payload) != sumr.u64()) {
+    if (base::fnv1a64(payload) != sumr.u64()) {
       if (last_possible) {
         result.torn_tail = true;
         result.torn_detail = cat("checksum mismatch on final record at offset ",

@@ -17,6 +17,7 @@
 #include "base/errno_text.hpp"
 #include "base/error.hpp"
 #include "base/fault_fs.hpp"
+#include "base/hash.hpp"
 #include "base/mutex.hpp"
 #include "base/strings.hpp"
 #include "base/thread_annotations.hpp"
@@ -133,7 +134,7 @@ std::uint64_t products_digest(const engine::Products& products) {
   persist::Writer w;
   w.u8(static_cast<std::uint8_t>(products.schedule.status));
   persist::save_schedule(w, products.schedule.schedule);
-  return persist::fnv1a64(w.buffer());
+  return base::fnv1a64(w.buffer());
 }
 
 struct Server::Impl {
@@ -361,7 +362,6 @@ struct Server::Impl {
   [[nodiscard]] engine::SessionOptions session_options() const {
     engine::SessionOptions so;
     so.certify = options.certify;
-    so.threads = options.threads;
     return so;
   }
 
@@ -618,7 +618,7 @@ struct Server::Impl {
       return error_reply(kCodeBadRequest, cat("design: ", parsed.error));
     }
     const std::string canonical = cg::to_text(*parsed.graph);
-    const std::uint64_t hash = persist::fnv1a64(canonical);
+    const std::uint64_t hash = base::fnv1a64(canonical);
 
     Shard& shard = shard_for(hash);
     std::shared_ptr<SessionEntry> entry;
@@ -1264,7 +1264,7 @@ struct Server::Impl {
       return error_reply(kCodeBadRequest, cat("design: ", parsed.error));
     }
     const std::string canonical = cg::to_text(*parsed.graph);
-    if (persist::fnv1a64(canonical) != hash) {
+    if (base::fnv1a64(canonical) != hash) {
       bump(&ServerStats::bad_requests);
       return error_reply(kCodeBadRequest, "design does not match session id");
     }

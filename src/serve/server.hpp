@@ -10,7 +10,7 @@
 //                -- so request handling on one design never blocks or
 //                corrupts another. Heavy resolves still share the
 //                process-wide base::shared_pool() for their anchor
-//                phases (SessionOptions::threads == 0), so concurrency
+//                phases (the SessionOptions default), so concurrency
 //                across sessions does not oversubscribe the machine.
 //
 //   Admission    Two bounded queues -- per-session and whole-server
@@ -91,8 +91,6 @@ struct ServerOptions {
   /// Baseline certification policy for healthy sessions (quarantined
   /// sessions are always certified, regardless).
   bool certify = engine::certify_default();
-  /// SessionOptions::threads for every session (0 = shared pool).
-  int threads = 0;
   /// WAL durability policy for every session.
   persist::WalOptions wal = persist::WalOptions::from_env();
 

@@ -95,8 +95,8 @@ CheckResult ill_posed_at(const cg::ConstraintGraph& g, const cg::Edge& e,
           g.vertex(e.from).name, "': A(", g.vertex(e.from).name,
           ") not contained in A(", g.vertex(e.to).name, ")"),
       certify::Diag{}};
-  // Witness: the smallest-id counterexample anchor a in A(tail) \
-  // A(head) with its defining path. The anchor sets handed in may be
+  // Witness: the smallest-id counterexample anchor a in A(tail) but not
+  // in A(head), with its defining path. The anchor sets handed in may be
   // stale or corrupted (the engine feeds incrementally patched ones); a
   // wrong claim produces a witness certify::verify_witness rejects,
   // which is exactly the signal the engine's certification path needs.

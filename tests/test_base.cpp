@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <sstream>
+#include <string_view>
 
 #include "base/error.hpp"
+#include "base/hash.hpp"
 #include "base/strings.hpp"
 #include "base/table.hpp"
 #include "base/watchdog.hpp"
@@ -35,6 +37,18 @@ TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("hello", ""));
   EXPECT_FALSE(starts_with("hello", "lo"));
   EXPECT_FALSE(starts_with("he", "hello"));
+}
+
+// Published FNV-1a 64-bit test vectors: the empty input hashes to the
+// offset basis itself.
+TEST(Hash, Fnv1a64MatchesReferenceVectors) {
+  using std::string_view_literals::operator""sv;
+  EXPECT_EQ(base::kFnv1a64Seed, 0xcbf29ce484222325ULL);
+  EXPECT_EQ(base::fnv1a64(""sv), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(base::fnv1a64("a"sv), 0xaf63dc4c8601ec8cULL);
+  // Chaining over chunks equals hashing the concatenation.
+  EXPECT_EQ(base::fnv1a64("bc"sv, base::fnv1a64("a"sv)),
+            base::fnv1a64("abc"sv));
 }
 
 TEST(TextTable, AlignsColumnsAndRules) {

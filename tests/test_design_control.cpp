@@ -20,7 +20,7 @@ struct Synthesized {
 
 TEST(DesignControl, CostIsSumOfGraphCosts) {
   Synthesized s("gcd");
-  const auto control = generate_design_control(s.design, s.result);
+  const auto control = generate_design_control(s.result);
   ASSERT_EQ(control.graphs.size(), s.result.graphs.size());
   ControlCost sum;
   for (const GraphControl& gc : control.graphs) {
@@ -32,7 +32,7 @@ TEST(DesignControl, CostIsSumOfGraphCosts) {
 
 TEST(DesignControl, VerilogHasOneModulePerGraphPlusTop) {
   Synthesized s("gcd");
-  const auto control = generate_design_control(s.design, s.result);
+  const auto control = generate_design_control(s.result);
   const std::string v = control.to_verilog(s.design, s.result, "gcd");
   std::size_t modules = 0, pos = 0;
   while ((pos = v.find("\nmodule ", pos)) != std::string::npos) {
@@ -47,7 +47,7 @@ TEST(DesignControl, VerilogHasOneModulePerGraphPlusTop) {
 
 TEST(DesignControl, RootActivatesOnStartChildrenOnParentEnables) {
   Synthesized s("gcd");
-  const auto control = generate_design_control(s.design, s.result);
+  const auto control = generate_design_control(s.result);
   const std::string v = control.to_verilog(s.design, s.result, "gcd");
   EXPECT_NE(v.find("assign act_root = start;"), std::string::npos);
   // Every non-root graph gets an activation assignment from an enable.
@@ -61,7 +61,7 @@ TEST(DesignControl, RootActivatesOnStartChildrenOnParentEnables) {
 
 TEST(DesignControl, UnboundedAnchorsBecomeStatusInputs) {
   Synthesized s("gcd");
-  const auto control = generate_design_control(s.design, s.result);
+  const auto control = generate_design_control(s.result);
   const std::string v = control.to_verilog(s.design, s.result, "gcd");
   // The restart polling loop is an unbounded anchor in the root graph.
   EXPECT_NE(v.find("input wire status_root_while0"), std::string::npos);
@@ -72,7 +72,7 @@ TEST(DesignControl, UnboundedAnchorsBecomeStatusInputs) {
 TEST(DesignControl, EveryControllerInstantiatedExactlyOnce) {
   for (const char* name : {"traffic", "daio_rx", "frisc"}) {
     Synthesized s(name);
-    const auto control = generate_design_control(s.design, s.result);
+    const auto control = generate_design_control(s.result);
     const std::string v = control.to_verilog(s.design, s.result, name);
     for (const GraphControl& gc : control.graphs) {
       const std::string instance =
@@ -91,7 +91,7 @@ TEST(DesignControl, CounterStylePropagates) {
   Synthesized s("length");
   ControlOptions opts;
   opts.style = ControlStyle::kCounter;
-  const auto control = generate_design_control(s.design, s.result, opts);
+  const auto control = generate_design_control(s.result, opts);
   EXPECT_EQ(control.style, ControlStyle::kCounter);
   const std::string v = control.to_verilog(s.design, s.result, "length");
   EXPECT_NE(v.find("cnt_"), std::string::npos);

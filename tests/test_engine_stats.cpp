@@ -130,16 +130,20 @@ TEST(SessionStatsTest, ForkIsIndependentlyEditable) {
   ASSERT_TRUE(parent.resolve().ok());
   SynthesisSession fork = parent.fork();
 
-  // The fork's journal starts at a branch point: its graph carries no
-  // replayable history from the parent.
-  EXPECT_TRUE(fork.graph().edits().empty());
+  // The fork starts at a branch point with nothing pending: resolving
+  // it is a cached no-op, not a recompute of the parent's history.
   EXPECT_EQ(fork.graph().revision(), parent.graph().revision());
+  fork.resolve();
+  EXPECT_EQ(fork.resolve_count(), 0);
 
   // Forks fork: a fork is a full session.
   const EdgeId max_edge = find_max_edge(fork.graph());
   fork.begin_txn();
   fork.set_constraint_bound(max_edge, 5);
   ASSERT_TRUE(fork.commit().ok());
+  // The commit folds the fork's own edit and nothing of the parent's.
+  EXPECT_EQ(fork.stats().last_txn_edits, 1);
+  EXPECT_TRUE(fork.last_resolve_was_warm());
   SynthesisSession grandchild = fork.fork();
   EXPECT_TRUE(grandchild.products().ok());
   EXPECT_EQ(fork.stats().forks_taken, 1);
