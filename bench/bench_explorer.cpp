@@ -6,7 +6,7 @@
 // resolve costs to dominate the fork overhead), builds a batch of
 // bound-perturbation candidates around one resolved base session, and
 // runs the same batch through explore::Explorer twice: sequentially
-// (1 worker) and in parallel (4 workers). Every candidate is an
+// (width 1) and in parallel (width 4). Every candidate is an
 // independent copy-on-write fork resolving one transaction, so the
 // parallel run must return bit-identical per-candidate products and
 // the same winner -- that equivalence is checked unconditionally and is
@@ -188,17 +188,16 @@ int main(int argc, char** argv) {
             << " candidates on " << design_name << " (|V|="
             << graph.vertex_count() << ", |E|=" << graph.edge_count() << ")\n\n";
   TextTable table;
-  table.set_header({"mode", "threads", "explore (us)", "us/candidate", "forks",
-                    "steals"});
+  table.set_header({"mode", "threads", "explore (us)", "us/candidate", "forks"});
   table.add_row({"sequential", "1", fmt(sequential.us),
                  fmt(sequential.us / static_cast<double>(candidates.size())),
-                 cat(sequential.forks), cat(sequential.result.steals)});
+                 cat(sequential.forks)});
   table.add_row({"parallel", cat(kParallelThreads), fmt(parallel.us),
                  fmt(parallel.us / static_cast<double>(candidates.size())),
-                 cat(parallel.forks), cat(parallel.result.steals)});
+                 cat(parallel.forks)});
   table.add_row({"certified", cat(kParallelThreads), fmt(certified.us),
                  fmt(certified.us / static_cast<double>(candidates.size())),
-                 cat(certified.forks), cat(certified.result.steals)});
+                 cat(certified.forks)});
   table.print(std::cout);
   std::cout << "\nwinner: "
             << (parallel.result.winner >= 0 ? parallel.result.best().label
@@ -237,7 +236,6 @@ int main(int argc, char** argv) {
       .field("sequential_us", sequential.us)
       .field("parallel_us", parallel.us)
       .field("speedup", speedup)
-      .field("steals", parallel.result.steals)
       .field("identical", identical)
       .field("certified_us", certified.us)
       .field("certified_identical", certified_identical)

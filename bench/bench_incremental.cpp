@@ -12,15 +12,20 @@
 //
 // Emits a human-readable table plus BENCH_incremental.json, and exits
 // nonzero when the warm path is less than 5x faster than cold on the
-// largest design (the engine's headline guarantee).
+// largest design (the engine's headline guarantee). Sessions resolve on
+// the shared pool, so its width (RELSCHED_THREADS) and the hardware
+// thread count go in the JSON and on every verdict line.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "base/table.hpp"
+#include "base/thread_pool.hpp"
 #include "bench_json.hpp"
 #include "designs/designs.hpp"
 #include "driver/synthesis.hpp"
@@ -309,8 +314,12 @@ int main() {
                              .field("warm_anchor_us", row.anchor_us)
                              .field("warm_resched_us", row.resched_us));
   }
+  const unsigned hardware = std::thread::hardware_concurrency();
+  const int pool_threads = base::shared_pool()->thread_count();
   benchio::Json::object()
       .field("bench", "incremental")
+      .field("threads", pool_threads)
+      .field("hardware_concurrency", static_cast<int>(hardware))
       .field("cold_repeats", kColdRepeats)
       .field("warm_repeats", kWarmRepeats)
       .field("largest_design", largest_row->design)
@@ -331,17 +340,19 @@ int main() {
   // a few microseconds.
   const bool journal_holds =
       largest_row->journaled_warm_us <= 1.10 * largest_row->warm_us + 2.0;
+  const std::string widths =
+      cat("pool threads: ", pool_threads, ", hardware threads: ", hardware);
   std::cout << "\nlargest design (" << largest_row->design
             << "): " << fmt(largest_row->speedup())
-            << "x warm speedup (required: >= 5x): "
+            << "x warm speedup (required: >= 5x, " << widths << "): "
             << (speedup_holds ? "HOLDS" : "FAILS") << "\n";
   std::cout << "largest design certifier overhead: "
             << fmt(largest_row->certify_overhead_pct())
-            << "% of a cold resolve (required: <= 15%): "
+            << "% of a cold resolve (required: <= 15%, " << widths << "): "
             << (overhead_holds ? "HOLDS" : "FAILS") << "\n";
   std::cout << "largest design journal overhead: "
             << fmt(largest_row->journal_overhead_pct())
-            << "% of a warm resolve (required: <= 10%): "
+            << "% of a warm resolve (required: <= 10%, " << widths << "): "
             << (journal_holds ? "HOLDS" : "FAILS") << "\n";
   return speedup_holds && overhead_holds && journal_holds ? EXIT_SUCCESS
                                                           : EXIT_FAILURE;

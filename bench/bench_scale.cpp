@@ -13,7 +13,7 @@
 //   phase    - the warm-path breakdown (topo patch / SPFA repair /
 //              anchor patch / reschedule), averaged per warm resolve;
 //   parallel - the anchor-analysis phase timed sequentially vs sharded
-//              across a work-stealing pool (cold per-anchor rows, and
+//              across a thread pool (cold per-anchor rows, and
 //              the whole warm edit sequence re-run on a pooled
 //              session).
 //
@@ -243,7 +243,7 @@ struct Row {
   double anchor_us = 0;
   double resched_us = 0;
   bool anchor_dominant = false;
-  // Parallel twins (pool of `threads` workers) of the cold
+  // Parallel twins (pool of width `threads`) of the cold
   // anchor-analysis phase and the warm edit sequence.
   double anchor_seq_us = 0;
   double anchor_par_us = 0;
@@ -308,7 +308,7 @@ bool run_edit_sequence(engine::SynthesisSession& session,
 /// edit sequences, the anchor-phase parallel comparison, and every
 /// bit-identity gate. Returns false on a hard-gate failure.
 bool run_size(int vertices, int edits, std::uint64_t seed, bool timing,
-              const std::shared_ptr<base::WorkStealingPool>& pool, Row* out) {
+              const std::shared_ptr<base::ThreadPool>& pool, Row* out) {
   cg::ConstraintGraph graph = designs::generate(params_for(vertices, seed));
   Row row;
   row.vertices = graph.vertex_count();
@@ -557,10 +557,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One dedicated pool for every parallel run in this process: exactly
-  // `threads` workers regardless of the machine, so the reported
-  // speedups are against a known width.
-  const auto pool = std::make_shared<base::WorkStealingPool>(threads);
+  // One dedicated pool for every parallel run in this process: width
+  // `threads` regardless of the machine, so the reported speedups are
+  // against a known width.
+  const auto pool = std::make_shared<base::ThreadPool>(threads);
   const unsigned hardware = std::thread::hardware_concurrency();
 
   if (check_only) {

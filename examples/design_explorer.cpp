@@ -112,7 +112,7 @@ void explore_incrementally(const std::string& design_name,
   const engine::SessionStats st = explorer.base().stats();
   std::cout << "\nexplorer: " << candidates.size() << " candidates on "
             << explorer.threads() << " threads, " << st.forks_taken
-            << " copy-on-write forks, " << result.steals << " steals";
+            << " copy-on-write forks";
   if (result.winner >= 0) {
     std::cout << "; best candidate " << result.best().label << " at latency "
               << static_cast<long long>(result.best().score);

@@ -119,16 +119,17 @@ namespace {
 
 /// Deterministic parallel-for over [0, count). The body runs for every
 /// index exactly once; contiguous index chunks are sharded across the
-/// pool's workers (several chunks per worker, so stealing can even out
-/// cost imbalance between e.g. a whole-graph anchor cone and a leaf).
+/// pool's threads (several chunks per thread, so drawing chunks from
+/// the pool's shared counter evens out cost imbalance between e.g. a
+/// whole-graph anchor cone and a leaf).
 /// Ownership is the determinism argument: every output slot is written
 /// by the one task that owns its index, as a pure function of inputs
 /// that no task mutates, so the result is bit-identical to the
 /// sequential loop at any thread count. Falls back to the inline loop
-/// when there is no pool, the pool has one worker, or the pool is busy
+/// when there is no pool, the pool has width 1, or the pool is busy
 /// with a job further up this call stack (an explorer candidate's
 /// in-resolve analysis, say) -- try_run() declines instead of nesting.
-void parallel_for(base::WorkStealingPool* pool, std::size_t count,
+void parallel_for(base::ThreadPool* pool, std::size_t count,
                   const std::function<void(std::size_t)>& body) {
   if (pool != nullptr && count > 1 && pool->thread_count() > 1) {
     const std::size_t chunks =
@@ -273,7 +274,7 @@ void AnchorAnalysis::compute_irredundant_at(VertexId v) {
 }
 
 AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
-                                       base::WorkStealingPool* pool) {
+                                       base::ThreadPool* pool) {
   AnchorAnalysis a = compute_anchor_sets_only(g);
   const std::vector<VertexId>& anchors = a.sets_.domain.anchors;
   const std::size_t num_anchors = anchors.size();
@@ -320,7 +321,7 @@ AnchorAnalysis AnchorAnalysis::compute(const cg::ConstraintGraph& g,
 
 void AnchorAnalysis::update(const cg::ConstraintGraph& g,
                             const UpdatePlan& plan,
-                            base::WorkStealingPool* pool) {
+                            base::ThreadPool* pool) {
   RELSCHED_CHECK(plan.affected != nullptr, "update() needs the affected mask");
   const int n = g.vertex_count();
   RELSCHED_CHECK(sets_.matrix.rows() == n, "update() vertex sets out of sync");

@@ -41,7 +41,7 @@ struct AnchorAnalysisAccess;  // checkpoint serialization (persist layer)
 }  // namespace relsched::persist
 
 namespace relsched::base {
-class WorkStealingPool;  // base/thread_pool.hpp
+class ThreadPool;  // base/thread_pool.hpp
 }  // namespace relsched::base
 
 namespace relsched::anchors {
@@ -235,13 +235,13 @@ class AnchorAnalysis {
   /// the graph feasible (no positive cycles) -- callers check first.
   ///
   /// With a pool, the per-anchor path rows and the per-vertex R/IR bit
-  /// rows are sharded across its workers. Every output slot (a row, a
+  /// rows are sharded across its threads. Every output slot (a row, a
   /// bit row) is written by exactly one task as a pure function of the
   /// immutable inputs, so the result is bit-identical to the
   /// sequential path at any thread count; a busy pool (this resolve is
-  /// itself running on a worker) degrades to the sequential loop.
+  /// itself running inside a pool task) degrades to the sequential loop.
   static AnchorAnalysis compute(const cg::ConstraintGraph& g,
-                                base::WorkStealingPool* pool = nullptr);
+                                base::ThreadPool* pool = nullptr);
 
   /// Anchor sets A(v) only (cheaper; enough for well-posedness checks).
   static AnchorAnalysis compute_anchor_sets_only(const cg::ConstraintGraph& g);
@@ -261,7 +261,7 @@ class AnchorAnalysis {
   /// cells) and the affected IR rows recomputed in parallel;
   /// bit-identical to the sequential path at any thread count.
   void update(const cg::ConstraintGraph& g, const UpdatePlan& plan,
-              base::WorkStealingPool* pool = nullptr);
+              base::ThreadPool* pool = nullptr);
 
   /// Number of per-anchor path rows the last update() recomputed (the
   /// dominant cost; compute() recomputes all of them). For engine

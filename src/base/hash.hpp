@@ -9,7 +9,6 @@
 // one fixed-size chunk at a time without materializing the payload.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -19,22 +18,18 @@ namespace relsched::base {
 inline constexpr std::uint64_t kFnv1a64Seed = 0xcbf29ce484222325ULL;
 
 /// Chainable: pass the previous digest as `seed` to extend the hash
-/// over another chunk.
-[[nodiscard]] inline std::uint64_t fnv1a64(const void* data, std::size_t size,
+/// over another chunk. One signature on purpose: a (pointer, size)
+/// overload next to it would win overload resolution for a string
+/// literal plus a seed and read the seed as the byte count.
+[[nodiscard]] inline std::uint64_t fnv1a64(std::string_view bytes,
                                            std::uint64_t seed = kFnv1a64Seed) {
   constexpr std::uint64_t kPrime = 1099511628211ULL;
-  const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint64_t hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
     hash *= kPrime;
   }
   return hash;
-}
-
-[[nodiscard]] inline std::uint64_t fnv1a64(std::string_view text,
-                                           std::uint64_t seed = kFnv1a64Seed) {
-  return fnv1a64(text.data(), text.size(), seed);
 }
 
 }  // namespace relsched::base

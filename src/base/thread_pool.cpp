@@ -9,73 +9,38 @@
 
 namespace relsched::base {
 
-WorkStealingPool::WorkStealingPool(int threads) {
-  const int n = std::max(1, threads);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) workers_.push_back(std::make_unique<Worker>());
-  threads_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+ThreadPool::ThreadPool(int threads) {
+  const int workers = std::max(1, threads) - 1;
+  workers_.reserve(static_cast<std::size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
+ThreadPool::~ThreadPool() {
   {
     const base::MutexLock lk(job_mutex_);
     stopping_ = true;
   }
   job_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
+  for (std::thread& t : workers_) t.join();
 }
 
-int WorkStealingPool::pop_own(int id) {
-  Worker& w = *workers_[static_cast<std::size_t>(id)];
-  const base::MutexLock lk(w.mutex);
-  if (w.queue.empty()) return -1;
-  const int task = w.queue.front();
-  w.queue.pop_front();
-  return task;
-}
-
-int WorkStealingPool::steal(int thief) {
-  const int n = thread_count();
-  for (int k = 1; k < n; ++k) {
-    Worker& victim = *workers_[static_cast<std::size_t>((thief + k) % n)];
-    const base::MutexLock lk(victim.mutex);
-    if (victim.queue.empty()) continue;
-    const int task = victim.queue.back();
-    victim.queue.pop_back();
-    return task;
-  }
-  return -1;
-}
-
-void WorkStealingPool::drain(int id, const std::function<void(int)>& fn) {
-  for (;;) {
-    int task = pop_own(id);
-    bool stolen = false;
-    if (task < 0) {
-      task = steal(id);
-      stolen = task >= 0;
-    }
-    if (task < 0) return;
-    fn(task);
-    {
-      const base::MutexLock lk(job_mutex_);
-      if (stolen) ++steals_;
-      if (--tasks_remaining_ == 0) done_cv_.notify_all();
-    }
+void ThreadPool::drain(const std::function<void(int)>& fn, int count) {
+  for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < count;
+       i = next_.fetch_add(1, std::memory_order_relaxed)) {
+    fn(i);
   }
 }
 
-void WorkStealingPool::worker_loop(int id) {
+void ThreadPool::worker_loop() {
   base::UniqueMutexLock lk(job_mutex_);
   std::uint64_t seen = 0;
   for (;;) {
     // Wait for a live job, not just a new generation: a worker
     // descheduled long enough to miss a generation entirely must not
-    // wake into the gap after run() retired it (job_fn_ == nullptr) --
-    // it sleeps through and joins the next published job instead.
+    // wake into the gap after try_run() retired it (job_fn_ == nullptr)
+    // -- it sleeps through and joins the next published job instead.
     // (Spelled as an explicit loop rather than a wait-with-predicate so
     // the thread-safety analysis sees the guarded reads under the lock.)
     while (!stopping_ && !(job_generation_ != seen && job_fn_ != nullptr)) {
@@ -83,51 +48,49 @@ void WorkStealingPool::worker_loop(int id) {
     }
     if (stopping_) return;
     seen = job_generation_;
+    // The other participants already drew every index: nothing to join.
+    if (next_.load(std::memory_order_relaxed) >= job_count_) continue;
     const std::function<void(int)>* fn = job_fn_;
+    const int count = job_count_;
     ++workers_active_;
     lk.unlock();
-    drain(id, *fn);
+    drain(*fn, count);
     lk.lock();
-    if (--workers_active_ == 0) done_cv_.notify_all();
+    if (--workers_active_ == 0) done_cv_.notify_one();
   }
 }
 
-bool WorkStealingPool::try_run(int count, const std::function<void(int)>& fn) {
+bool ThreadPool::try_run(int count,
+                         const std::function<void(int)>& fn) noexcept {
   if (count <= 0) return true;
   base::UniqueMutexLock lk(job_mutex_);
   // A job is in flight (possibly ours, further up this very call
   // stack): decline, and the caller stays sequential.
   if (job_fn_ != nullptr) return false;
-  // Seed while holding job_mutex_: every parked worker's wait predicate
-  // requires a live job_fn_, so no worker -- including one that slept
-  // through an entire previous generation -- can touch the queues
-  // before this job is published below.
-  for (int i = 0; i < count; ++i) {
-    Worker& w = *workers_[static_cast<std::size_t>(i) % workers_.size()];
-    const base::MutexLock qlk(w.mutex);
-    w.queue.push_back(i);
-  }
+  // No worker is active here (the previous job retired only once
+  // workers_active_ reached 0), so the counter can be reset before the
+  // job is published.
+  next_.store(0, std::memory_order_relaxed);
   job_fn_ = &fn;
-  tasks_remaining_ = count;
+  job_count_ = count;
   ++job_generation_;
   job_cv_.notify_all();
-  while (!(tasks_remaining_ == 0 && workers_active_ == 0)) {
-    done_cv_.wait(lk);
-  }
+  lk.unlock();
+  drain(fn, count);
+  lk.lock();
+  // Every index is drawn; wait for the workers still running theirs.
+  // A worker joins only under job_mutex_ while job_fn_ is live, so
+  // none can join after this wait has seen zero.
+  while (workers_active_ != 0) done_cv_.wait(lk);
   job_fn_ = nullptr;
   return true;
 }
 
-long long WorkStealingPool::steals() const {
-  const base::MutexLock lk(job_mutex_);
-  return steals_;
-}
-
-void WorkStealingPool::run(int count, const std::function<void(int)>& fn) {
+void ThreadPool::run(int count, const std::function<void(int)>& fn) noexcept {
   RELSCHED_CHECK(try_run(count, fn), "run() calls must not overlap");
 }
 
-int WorkStealingPool::default_thread_count() {
+int ThreadPool::default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   const int hardware = hw == 0 ? 1 : static_cast<int>(hw);
   constexpr long long kMaxThreads = 512;
@@ -142,10 +105,9 @@ int WorkStealingPool::default_thread_count() {
   return hardware;
 }
 
-const std::shared_ptr<WorkStealingPool>& shared_pool() {
-  static const std::shared_ptr<WorkStealingPool> pool =
-      std::make_shared<WorkStealingPool>(
-          WorkStealingPool::default_thread_count());
+const std::shared_ptr<ThreadPool>& shared_pool() {
+  static const std::shared_ptr<ThreadPool> pool =
+      std::make_shared<ThreadPool>(ThreadPool::default_thread_count());
   return pool;
 }
 

@@ -162,7 +162,7 @@ class ChunkWriter {
 
   void flush() {
     if (buf_.empty()) return;
-    hash_ = base::fnv1a64(buf_.data(), buf_.size(), hash_);
+    hash_ = base::fnv1a64(buf_, hash_);
     out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
     buf_.clear();
   }
@@ -240,7 +240,7 @@ class ChunkReader {
       failed_ = true;
       return false;
     }
-    hash_ = base::fnv1a64(buf_.data(), want, hash_);
+    hash_ = base::fnv1a64(buf_, hash_);
     remaining_ -= want;
     pos_ = 0;
     return true;

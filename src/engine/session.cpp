@@ -52,7 +52,11 @@ bool certify_default() {
 
 SynthesisSession::SynthesisSession(cg::ConstraintGraph graph,
                                    SessionOptions options)
-    : graph_(std::move(graph)), options_(options) {}
+    : graph_(std::move(graph)), options_(options) {
+  RELSCHED_CHECK(options_.threads == 0 || options_.threads == 1,
+                 "SessionOptions::threads must be 0 (shared pool) or 1 "
+                 "(sequential)");
+}
 
 SessionStats SynthesisSession::stats() const {
   SessionStats s = stats_;
@@ -252,16 +256,9 @@ void SynthesisSession::adopt_schedule() {
       products_.schedule.schedule.start_times(graph_, {}, topo_.order());
 }
 
-base::WorkStealingPool* SynthesisSession::analysis_pool() {
+base::ThreadPool* SynthesisSession::analysis_pool() const {
   if (options_.pool != nullptr) return options_.pool.get();
   if (options_.threads == 1) return nullptr;
-  if (options_.threads > 1) {
-    // Dedicated pool, created once and then pinned via options_.pool so
-    // forks of this session share it rather than spawning their own.
-    options_.pool =
-        std::make_shared<base::WorkStealingPool>(options_.threads);
-    return options_.pool.get();
-  }
   return base::shared_pool().get();
 }
 

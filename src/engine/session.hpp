@@ -104,19 +104,19 @@ struct SessionOptions {
 
   // ---- In-resolve parallelism --------------------------------------------
   // The anchor-analysis phases (per-anchor path rows, per-vertex R/IR
-  // bit rows) shard across a work-stealing pool, bit-identical to the
+  // bit rows) shard across a base::ThreadPool, bit-identical to the
   // sequential path at any thread count (see AnchorAnalysis::compute).
 
   /// nullptr: pick by `threads`. Non-null: run the anchor phases on
   /// this pool. An Explorer installs its own pool here so candidate
   /// parallelism and in-resolve parallelism share one set of workers
-  /// -- the pool declines nested jobs (base::WorkStealingPool::try_run)
+  /// -- the pool declines nested jobs (base::ThreadPool::try_run)
   /// and the inner resolve stays sequential, never oversubscribing.
-  std::shared_ptr<base::WorkStealingPool> pool;
+  std::shared_ptr<base::ThreadPool> pool;
   /// Used when `pool` is null. 0: the process-wide base::shared_pool()
   /// (sized from hardware_concurrency / RELSCHED_THREADS). 1: fully
-  /// sequential, no pool touched. N > 1: a dedicated pool of N
-  /// workers, created lazily at first resolve.
+  /// sequential, no pool touched. The session constructor rejects any
+  /// other value; a wider dedicated pool goes in `pool`.
   int threads = 0;
 };
 
@@ -416,7 +416,7 @@ class SynthesisSession {
   /// Explorer installs its candidate pool here so in-resolve and
   /// candidate parallelism share one set of workers); nullptr reverts
   /// to the SessionOptions::threads policy. Forks inherit it.
-  void set_thread_pool(std::shared_ptr<base::WorkStealingPool> pool) {
+  void set_thread_pool(std::shared_ptr<base::ThreadPool> pool) {
     options_.pool = std::move(pool);
   }
 
@@ -584,7 +584,7 @@ class SynthesisSession {
   /// The pool the anchor-analysis phases of this resolve run on, per
   /// the SessionOptions policy (explicit pool > threads); nullptr
   /// means sequential.
-  [[nodiscard]] base::WorkStealingPool* analysis_pool();
+  [[nodiscard]] base::ThreadPool* analysis_pool() const;
 
   cg::ConstraintGraph graph_;
   SessionOptions options_;

@@ -86,8 +86,8 @@ constexpr std::string_view kExploreMagic = "RSEXP001";
 // the forward order. Older checkpoints are not readable.
 constexpr std::uint32_t kExploreVersion = 3;
 
-std::shared_ptr<base::WorkStealingPool> resolve_pool(int requested) {
-  if (requested > 0) return std::make_shared<base::WorkStealingPool>(requested);
+std::shared_ptr<base::ThreadPool> resolve_pool(int requested) {
+  if (requested > 0) return std::make_shared<base::ThreadPool>(requested);
   return base::shared_pool();
 }
 
@@ -124,7 +124,7 @@ Explorer::Explorer(engine::SynthesisSession base, ExplorerOptions options)
       pool_(resolve_pool(options_.threads)) {
   // One pool for everything under this explorer: the base session's
   // resolves shard their anchor phases across it, and forks inherit it,
-  // so a candidate resolving on a pool worker falls back to its
+  // so a candidate resolving inside a pool task falls back to its
   // sequential path (try_run declines while the batch job is live)
   // instead of nesting or spawning more threads.
   base_.set_thread_pool(pool_);
@@ -324,7 +324,6 @@ ExplorationResult Explorer::explore(const std::vector<Candidate>& candidates,
                                     const Objective& objective) {
   ExplorationResult result;
   result.candidates.resize(candidates.size());
-  const long long steals_before = pool_->steals();
   // Empty batch: a well-defined "no winner", not a degenerate pool run.
   if (candidates.empty()) return result;
 
@@ -405,7 +404,6 @@ ExplorationResult Explorer::explore(const std::vector<Candidate>& candidates,
       result.winner = candidate.index;
     }
   }
-  result.steals = pool_->steals() - steals_before;
   return result;
 }
 

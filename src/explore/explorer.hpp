@@ -61,7 +61,7 @@ struct Candidate {
 
 /// Score of a resolved candidate; lower is better. Called only for
 /// candidates whose products are ok(). Must be a pure function of its
-/// arguments: it runs concurrently on worker threads.
+/// arguments: it runs concurrently on the pool's threads.
 using Objective = std::function<double(const cg::ConstraintGraph& graph,
                                        const engine::Products& products)>;
 
@@ -110,10 +110,6 @@ struct ExplorationResult {
   /// particular, for an empty candidate list).
   int winner = -1;
   std::vector<CandidateResult> candidates;
-  /// Tasks that ran on a worker other than the one they were assigned
-  /// to (work-stealing effectiveness; nondeterministic, diagnostics
-  /// only -- everything else in this struct is thread-count-invariant).
-  long long steals = 0;
   /// Candidates whose resolve was stopped (kTimeout diags).
   int cancelled = 0;
   /// Timed-out candidates that went through the retry-as-cold pass.
@@ -134,9 +130,10 @@ struct ExplorationResult {
 };
 
 struct ExplorerOptions {
-  /// Worker threads; 0 shares the process-wide base::shared_pool()
-  /// (sized from hardware_concurrency / RELSCHED_THREADS), > 0 spawns
-  /// a dedicated pool of that many workers.
+  /// Pool width; 0 shares the process-wide base::shared_pool()
+  /// (sized from hardware_concurrency / RELSCHED_THREADS), > 0 builds
+  /// a dedicated pool of that width (1 runs every candidate inline on
+  /// the calling thread).
   int threads = 0;
 
   // ---- Cancellation and deadlines ----------------------------------------
@@ -208,11 +205,11 @@ class Explorer {
   ExplorerOptions options_;
   /// Candidate batches and the anchor analysis inside every fork's
   /// resolve share these workers: the pool is installed into the base
-  /// session (inherited by forks), and a fork resolving *on* a worker
-  /// sees the pool busy and stays sequential (try_run declines), so
+  /// session (inherited by forks), and a fork resolving inside a pool
+  /// task sees the pool busy and stays sequential (try_run declines), so
   /// the two layers of parallelism never oversubscribe. threads == 0
   /// shares the process-wide base::shared_pool().
-  std::shared_ptr<base::WorkStealingPool> pool_;
+  std::shared_ptr<base::ThreadPool> pool_;
 };
 
 }  // namespace relsched::explore

@@ -401,8 +401,8 @@ TEST_P(EngineProperties, ParallelResolveMatchesSequentialUnderFaults) {
       FaultInjector::Kind::kDropJournalEntry,
       FaultInjector::Kind::kTruncateAnchorRow,
   };
-  const auto pool2 = std::make_shared<base::WorkStealingPool>(2);
-  const auto pool8 = std::make_shared<base::WorkStealingPool>(8);
+  const auto pool2 = std::make_shared<base::ThreadPool>(2);
+  const auto pool8 = std::make_shared<base::ThreadPool>(8);
 
   int corpora = 0;
   long long caught = 0;

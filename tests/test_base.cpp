@@ -49,6 +49,9 @@ TEST(Hash, Fnv1a64MatchesReferenceVectors) {
   // Chaining over chunks equals hashing the concatenation.
   EXPECT_EQ(base::fnv1a64("bc"sv, base::fnv1a64("a"sv)),
             base::fnv1a64("abc"sv));
+  // Plain literals with a seed hash their text, not a seed-sized run
+  // past the literal.
+  EXPECT_EQ(base::fnv1a64("bc", base::fnv1a64("a")), base::fnv1a64("abc"));
 }
 
 TEST(TextTable, AlignsColumnsAndRules) {

@@ -1,6 +1,7 @@
 // SessionStats observability: transaction counters and cone-coalescing
 // accounting, fork counters and copy-on-write row sharing, fork
-// isolation, warm-path phase timings, and the fork() preconditions.
+// isolation, warm-path phase timings, the fork() preconditions, and the
+// two accepted SessionOptions::threads values.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -122,6 +123,25 @@ TEST(SessionStatsTest, ForkRequiresCurrentResolve) {
   SynthesisSession fork = session.fork();
   EXPECT_TRUE(fork.products().ok());
   EXPECT_EQ(fork.products().revision, fork.graph().revision());
+}
+
+// threads is 0 (the shared pool) or 1 (sequential); a wider pool is
+// passed explicitly through SessionOptions::pool.
+TEST(SessionStatsTest, ThreadsOptionIsSharedPoolOrSequential) {
+  for (const int threads : {0, 1}) {
+    relsched::testing::Fig2Graph fig;
+    SessionOptions options;
+    options.threads = threads;
+    SynthesisSession session(std::move(fig.g), options);
+    EXPECT_TRUE(session.resolve().ok()) << "threads = " << threads;
+  }
+  for (const int threads : {-1, 2, 8}) {
+    relsched::testing::Fig2Graph fig;
+    SessionOptions options;
+    options.threads = threads;
+    EXPECT_THROW(SynthesisSession(std::move(fig.g), options), ApiError)
+        << "threads = " << threads;
+  }
 }
 
 TEST(SessionStatsTest, ForkIsIndependentlyEditable) {

@@ -1,8 +1,8 @@
 // Parallel design-space explorer: the winner and every per-candidate
 // product must be identical for any thread count (the headline
 // determinism guarantee), forked candidates must match independent
-// from-scratch sessions bit for bit, and the work-stealing pool must
-// run every task exactly once.
+// from-scratch sessions bit for bit, and the thread pool must run
+// every task exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -356,8 +356,8 @@ TEST(ExplorerTest, CheckpointResumeSkipsCompletedCandidates) {
   expect_identical_results(full, corrupt, g);
 }
 
-TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnceAndIsReusable) {
-  base::WorkStealingPool pool(4);
+TEST(ThreadPoolTest, RunsEveryTaskExactlyOnceAndIsReusable) {
+  base::ThreadPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4);
   constexpr int kTasks = 500;
   std::vector<std::atomic<int>> hits(kTasks);
@@ -374,25 +374,38 @@ TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnceAndIsReusable) {
   for (int i = 0; i < kTasks; ++i) {
     EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 2) << "task " << i;
   }
-  EXPECT_GE(pool.steals(), 0);
 }
 
-TEST(WorkStealingPoolTest, EmptyRunAndThreadClamping) {
-  base::WorkStealingPool pool(0);  // clamped to one worker
+TEST(ThreadPoolTest, EmptyRunAndThreadClamping) {
+  base::ThreadPool pool(0);  // clamped to width 1
   EXPECT_EQ(pool.thread_count(), 1);
   pool.run(0, [](int) { std::abort(); });  // no tasks, no calls
   std::vector<int> order;
   pool.run(5, [&](int i) { order.push_back(i); });
-  // One worker, round-robin seeding, FIFO pops: strict task order.
+  // One participant drawing from the counter: strict task order.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// Width 1 (RELSCHED_THREADS=1, ExplorerOptions::threads = 1) starts no
+// worker: the calling thread runs the whole batch itself.
+TEST(ThreadPoolTest, WidthOneRunsEveryTaskOnTheCallingThread) {
+  base::ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(64);
+  pool.run(64, [&](int i) {
+    ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+  });
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    EXPECT_EQ(ran_on[i], caller) << "task " << i;
+  }
 }
 
 // The sharing contract between the explorer's candidate batches and the
 // anchor analysis running inside each candidate: a try_run() issued
 // while a job is in flight -- here, from inside that job's own tasks --
 // declines instead of deadlocking, and the caller stays sequential.
-TEST(WorkStealingPoolTest, TryRunDeclinesWhileAJobIsInFlight) {
-  base::WorkStealingPool pool(2);
+TEST(ThreadPoolTest, TryRunDeclinesWhileAJobIsInFlight) {
+  base::ThreadPool pool(2);
   std::atomic<int> outer{0};
   std::atomic<int> declined{0};
   pool.run(8, [&](int) {
@@ -416,20 +429,20 @@ TEST(WorkStealingPoolTest, TryRunDeclinesWhileAJobIsInFlight) {
 // RELSCHED_THREADS overrides hardware_concurrency() through the strict
 // base/env.hpp parsers; unparsable or out-of-range values warn and fall
 // back to the hardware width.
-TEST(WorkStealingPoolTest, DefaultThreadCountRespectsEnvOverride) {
+TEST(ThreadPoolTest, DefaultThreadCountRespectsEnvOverride) {
   const unsigned hw = std::thread::hardware_concurrency();
   const int hardware = hw == 0 ? 1 : static_cast<int>(hw);
 
   ::setenv("RELSCHED_THREADS", "3", 1);
-  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), 3);
+  EXPECT_EQ(base::ThreadPool::default_thread_count(), 3);
   ::setenv("RELSCHED_THREADS", "not-a-number", 1);
-  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::ThreadPool::default_thread_count(), hardware);
   ::setenv("RELSCHED_THREADS", "0", 1);  // below the [1, 512] range
-  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::ThreadPool::default_thread_count(), hardware);
   ::setenv("RELSCHED_THREADS", "100000", 1);  // above it
-  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::ThreadPool::default_thread_count(), hardware);
   ::unsetenv("RELSCHED_THREADS");
-  EXPECT_EQ(base::WorkStealingPool::default_thread_count(), hardware);
+  EXPECT_EQ(base::ThreadPool::default_thread_count(), hardware);
 }
 
 }  // namespace
