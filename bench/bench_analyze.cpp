@@ -13,26 +13,22 @@
 //   cold      - a fresh SynthesisSession::resolve() (the fixpoint the
 //               analyzer must undercut);
 //   analyze   - analyze::analyze() on the cached products;
-//   extract   - extract_critical() + its built-in certification;
-//   warm      - a >= 60-edit bound-tweak sequence, every edit
-//               re-analyzed through IncrementalAnalyzer and required
-//               to match a fresh analyze() JSON-identically.
+//   extract   - extract_critical() + its built-in certification.
 //
 // Gates (hard, exit nonzero):
 //   cost      - median analyze <= 15% of median cold resolve;
 //   size      - extracted subgraph <= 10% of the design's vertices;
 //   certified - every extraction certifies (schedule reproduced
-//               bit-for-bit on mapped vertices);
-//   identity  - incremental == fresh on every warm step.
+//               bit-for-bit on mapped vertices).
 //
-// Emits BENCH_analyze.json (committed CI artifact).
+// Emits BENCH_analyze.json (committed CI artifact), with the build type
+// and the thread counts it was measured with.
 //
 // Flags:
 //   --vertices N   run one size instead of the 10^4/10^5 ladder
-//   --edits N      warm-sequence length (default 60)
 //   --seed N       generator seed (default 7)
-//   --check-only   sanitizer-CI mode: 10^4 only, short warm sequence,
-//                  all hard gates, no timing gate, no JSON
+//   --check-only   sanitizer-CI mode: 10^4 only, all hard gates, no
+//                  timing gate, no JSON
 //   --out FILE     JSON path (default BENCH_analyze.json)
 #include <algorithm>
 #include <chrono>
@@ -40,10 +36,11 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analyze/analyze.hpp"
-#include "analyze/incremental.hpp"
+#include "base/thread_pool.hpp"
 #include "bench_json.hpp"
 #include "designs/generator.hpp"
 #include "engine/session.hpp"
@@ -95,11 +92,8 @@ struct Row {
   double cold_us = 0.0;
   double analyze_us = 0.0;
   double extract_us = 0.0;
-  double warm_reanalyze_us = 0.0;
   int sub_vertices = 0;
   int sub_edges = 0;
-  int warm_edits = 0;
-  int cone_analyses = 0;
 
   [[nodiscard]] double cost_ratio() const {
     return cold_us > 0.0 ? analyze_us / cold_us : 0.0;
@@ -112,8 +106,7 @@ struct Row {
 /// Runs one size. Returns false on any hard-gate failure (after
 /// printing it); timing gates are evaluated by the caller so
 /// --check-only can skip them under sanitizers.
-bool run_size(int vertices, std::uint64_t seed, int edits, bool check_only,
-              Row& row) {
+bool run_size(int vertices, std::uint64_t seed, bool check_only, Row& row) {
   const cg::ConstraintGraph g = designs::generate(corpus_params(vertices, seed));
   row.vertices = g.vertex_count();
   row.edges = g.edge_count();
@@ -161,41 +154,6 @@ bool run_size(int vertices, std::uint64_t seed, int edits, bool check_only,
   }
   row.sub_vertices = extraction.subgraph.vertex_count();
   row.sub_edges = extraction.subgraph.edge_count();
-
-  // Warm sequence: loosen/restore constraint bounds across the design;
-  // every step's incremental report must match a fresh analyze().
-  std::vector<EdgeId> constraints;
-  for (const cg::Edge& e : session.graph().edges()) {
-    if (e.kind != cg::EdgeKind::kSequencing) constraints.push_back(e.id);
-  }
-  analyze::IncrementalAnalyzer analyzer;
-  (void)analyzer.reanalyze(session);
-  std::vector<double> warm_samples;
-  const int steps = check_only ? std::min(edits, 10) : edits;
-  for (int i = 0; i < steps && !constraints.empty(); ++i) {
-    const cg::Edge& e =
-        session.graph().edge(constraints[(i * 7919) % constraints.size()]);
-    const int bound =
-        e.kind == cg::EdgeKind::kMinConstraint ? e.fixed_weight : -e.fixed_weight;
-    session.set_constraint_bound(e.id,
-                                 i % 2 == 0 ? bound + 1 : std::max(0, bound - 1));
-    const analyze::Report* incremental = nullptr;
-    warm_samples.push_back(
-        timed_us([&] { incremental = &analyzer.reanalyze(session); }));
-    const analyze::Report fresh = analyze::analyze(
-        session.graph(), session.products().ok() ? &session.products().analysis
-                                                 : nullptr);
-    if (analyze::to_json(*incremental, session.graph()) !=
-        analyze::to_json(fresh, session.graph())) {
-      std::cerr << "incremental reanalyze diverged from fresh analyze at "
-                   "step "
-                << i << "\n";
-      return false;
-    }
-    ++row.warm_edits;
-  }
-  row.warm_reanalyze_us = median_us(warm_samples);
-  row.cone_analyses = analyzer.cone_analyses();
   return true;
 }
 
@@ -203,7 +161,6 @@ bool run_size(int vertices, std::uint64_t seed, int edits, bool check_only,
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 7;
-  int edits = 60;
   int single_size = 0;
   bool check_only = false;
   std::string out_path = "BENCH_analyze.json";
@@ -211,8 +168,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--vertices" && i + 1 < argc) {
       single_size = std::atoi(argv[++i]);
-    } else if (arg == "--edits" && i + 1 < argc) {
-      edits = std::atoi(argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (arg == "--check-only") {
@@ -220,8 +175,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::cerr << "usage: bench_analyze [--vertices N] [--edits N] "
-                   "[--seed N] [--check-only] [--out FILE]\n";
+      std::cerr << "usage: bench_analyze [--vertices N] [--seed N] "
+                   "[--check-only] [--out FILE]\n";
       return EXIT_FAILURE;
     }
   }
@@ -238,7 +193,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const int size : sizes) {
     Row row;
-    if (!run_size(size, seed, edits, check_only, row)) return EXIT_FAILURE;
+    if (!run_size(size, seed, check_only, row)) return EXIT_FAILURE;
     rows.push_back(row);
     std::cout << "vertices " << row.vertices << ": cold "
               << row.cold_us / 1000.0 << " ms, analyze "
@@ -247,14 +202,11 @@ int main(int argc, char** argv) {
               << row.extract_us / 1000.0 << " ms, subgraph "
               << row.sub_vertices << "/" << row.vertices << " ("
               << row.subgraph_ratio() * 100.0 << "%), " << row.constraints
-              << " constraints (" << row.binding << " binding), warm "
-              << "reanalyze " << row.warm_reanalyze_us / 1000.0 << " ms over "
-              << row.warm_edits << " edits (" << row.cone_analyses
-              << " cone)\n";
+              << " constraints (" << row.binding << " binding)\n";
   }
 
-  // Hard gates. Certification and incremental identity were enforced
-  // inside run_size; cost and size gates are timing/shape and are
+  // Hard gates. Certification was enforced inside run_size; cost and
+  // size gates are timing/shape and are
   // skipped under --check-only (sanitizer timings are meaningless,
   // the shape is checked there too).
   bool ok = true;
@@ -272,7 +224,6 @@ int main(int argc, char** argv) {
     ok = ok && cost_holds;
   }
   std::cout << "required: every extraction certified: HOLDS\n";
-  std::cout << "required: incremental == fresh on every warm step: HOLDS\n";
 
   if (!check_only) {
     benchio::Json sizes_json = benchio::Json::array();
@@ -288,18 +239,18 @@ int main(int argc, char** argv) {
                              .field("extract_us", row.extract_us)
                              .field("subgraph_vertices", row.sub_vertices)
                              .field("subgraph_edges", row.sub_edges)
-                             .field("subgraph_ratio", row.subgraph_ratio())
-                             .field("warm_reanalyze_us", row.warm_reanalyze_us)
-                             .field("warm_edits", row.warm_edits)
-                             .field("cone_analyses", row.cone_analyses));
+                             .field("subgraph_ratio", row.subgraph_ratio()));
     }
     benchio::Json::object()
         .field("bench", "analyze")
+        .field("build_type", RELSCHED_BUILD_TYPE)
+        .field("threads", base::shared_pool()->thread_count())
+        .field("hardware_concurrency",
+               static_cast<int>(std::thread::hardware_concurrency()))
         .field("seed", static_cast<long long>(seed))
         .field("max_analyze_cost_ratio", kMaxAnalyzeCostRatio)
         .field("max_subgraph_ratio", kMaxSubgraphRatio)
         .field("certified", true)
-        .field("incremental_identity", true)
         .field("sizes", sizes_json)
         .write(out_path);
     std::cout << "wrote " << out_path << "\n";

@@ -8,7 +8,6 @@
 #include <variant>
 #include <vector>
 
-#include "analyze/detail.hpp"
 #include "base/error.hpp"
 #include "base/json.hpp"
 #include "base/strings.hpp"
@@ -45,26 +44,17 @@ Weight zero_profile_delay(const cg::ConstraintGraph& g, VertexId v) {
   return 0;
 }
 
-}  // namespace
-
-// ---- Shared slack evaluation (detail.hpp) ---------------------------------
-
-namespace detail {
-
+/// Zero-profile start times off the anchor analysis, via the Theorem 3
+/// identity sigma_a^min(v) = length(a, v):
+///   T0(v) = max(0, max_{a in A(v)} T0(a) + d0(a) + length(a, v)),
+/// evaluated in forward topological order (T0(source) = 0). Identical
+/// to the certifier's recursion over the minimum schedule's offsets.
 std::vector<Weight> zero_profile_start_times(
     const cg::ConstraintGraph& g, const anchors::AnchorAnalysis& analysis,
     const std::vector<int>& topo) {
   std::vector<Weight> t0(static_cast<std::size_t>(g.vertex_count()), 0);
-  const std::vector<VertexId> order(topo.begin(), topo.end());
-  patch_zero_profile_start_times(g, analysis, order, t0);
-  return t0;
-}
-
-void patch_zero_profile_start_times(const cg::ConstraintGraph& g,
-                                    const anchors::AnchorAnalysis& analysis,
-                                    std::span<const VertexId> cone_topo,
-                                    std::vector<Weight>& t0) {
-  for (const VertexId v : cone_topo) {
+  for (const int i : topo) {
+    const VertexId v(i);
     if (v == g.source()) continue;
     Weight t = 0;
     for (const VertexId a : analysis.anchor_set(v)) {
@@ -73,8 +63,12 @@ void patch_zero_profile_start_times(const cg::ConstraintGraph& g,
     }
     t0[v.index()] = t;
   }
+  return t0;
 }
 
+/// Slack record of constraint edge `eid` (min or max; never call on a
+/// sequencing edge). Preconditions: valid + feasible + well-posed
+/// graph, `t0` current zero-profile start times.
 ConstraintSlack constraint_slack(const cg::ConstraintGraph& g,
                                  const anchors::AnchorAnalysis& analysis,
                                  const std::vector<Weight>& t0, EdgeId eid) {
@@ -126,6 +120,8 @@ ConstraintSlack constraint_slack(const cg::ConstraintGraph& g,
   return s;
 }
 
+/// Criticality ranking in place: slack ascending, tight_frames
+/// descending, EdgeId ascending (deterministic total order).
 void rank(std::vector<ConstraintSlack>& slacks) {
   std::stable_sort(slacks.begin(), slacks.end(),
                    [](const ConstraintSlack& a, const ConstraintSlack& b) {
@@ -137,7 +133,7 @@ void rank(std::vector<ConstraintSlack>& slacks) {
                    });
 }
 
-}  // namespace detail
+}  // namespace
 
 // ---- Analysis -------------------------------------------------------------
 
@@ -199,12 +195,12 @@ Report analyze(const cg::ConstraintGraph& g,
   const auto topo = g.forward_topo_order();
   RELSCHED_CHECK(topo.has_value(), "analyze requires an acyclic Gf");
   const std::vector<Weight> t0 =
-      detail::zero_profile_start_times(g, *analysis, *topo);
+      zero_profile_start_times(g, *analysis, *topo);
   for (const cg::Edge& e : g.edges()) {
     if (e.kind == cg::EdgeKind::kSequencing) continue;
-    r.slacks.push_back(detail::constraint_slack(g, *analysis, t0, e.id));
+    r.slacks.push_back(constraint_slack(g, *analysis, t0, e.id));
   }
-  detail::rank(r.slacks);
+  rank(r.slacks);
   r.status = Status::kOk;
   return r;
 }

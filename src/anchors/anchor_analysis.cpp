@@ -429,37 +429,12 @@ void AnchorAnalysis::update(const cg::ConstraintGraph& g,
   });
 
   // IR(v): the redundancy test at v reads length(x, v), length(x, r)
-  // and length(r, v) for x, r in R(v). Beyond affected vertices, the
-  // via-anchor term length(x, r) can flip the verdict at an *unaffected*
-  // v when the anchor-vertex r itself is affected -- recompute those
-  // too. Build a column mask of affected anchors first: when it is
-  // empty (the common warm case) the full-vertex scan is skipped
-  // entirely, otherwise one word-AND per unaffected vertex decides.
+  // and length(r, v) for x, r in R(v). Only affected vertices need it:
+  // r in R(v) means a path r ~> v, and the cone is out-closed, so an
+  // unaffected v has no affected anchor in R(v) and keeps its inputs.
   parallel_for(pool, plan.affected_topo.size(), [&](std::size_t k) {
     compute_irredundant_at(plan.affected_topo[k]);
   });
-  std::vector<std::uint64_t> affected_anchor_mask(words, 0);
-  bool any_affected_anchor = false;
-  for (std::size_t i = 0; i < num_anchors; ++i) {
-    if (plan.affected->contains(anchors[i])) {
-      affected_anchor_mask[i / base::kBitsPerWord] |=
-          std::uint64_t{1} << (i % base::kBitsPerWord);
-      any_affected_anchor = true;
-    }
-  }
-  if (any_affected_anchor) {
-    parallel_for(pool, static_cast<std::size_t>(n), [&](std::size_t vs) {
-      const int vi = static_cast<int>(vs);
-      const VertexId v(vi);
-      if (plan.affected->contains(v)) return;  // already recomputed
-      const std::uint64_t* rel = relevant_.row(vi);
-      bool hit = false;
-      for (std::size_t w = 0; w < words && !hit; ++w) {
-        hit = (rel[w] & affected_anchor_mask[w]) != 0;
-      }
-      if (hit) compute_irredundant_at(v);
-    });
-  }
 }
 
 }  // namespace relsched::anchors

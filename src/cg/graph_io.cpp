@@ -1,5 +1,6 @@
 #include "cg/graph_io.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -42,6 +43,20 @@ std::string to_text(const ConstraintGraph& g) {
   return os.str();
 }
 
+namespace {
+
+/// The whole token as a decimal int; nullopt on a non-numeric suffix
+/// ("2x"), a sign other than '-', or overflow.
+std::optional<int> parse_int(std::string_view token) {
+  int value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 ParseResult from_text(std::string_view text) {
   ParseResult result;
   std::optional<ConstraintGraph> graph;
@@ -63,10 +78,18 @@ ParseResult from_text(std::string_view text) {
     std::istringstream ls(line);
     std::string keyword;
     if (!(ls >> keyword)) continue;  // blank line
+    // Every item has a fixed arity: anything after its last field is
+    // an error, not a comment.
+    std::string extra;
+    const auto trailing = [&] { return static_cast<bool>(ls >> extra); };
+    const auto fail_trailing = [&] {
+      return fail(cat("unexpected '", extra, "' after ", keyword, " item"));
+    };
 
     if (keyword == "graph") {
       std::string name;
       if (!(ls >> name)) return fail("expected graph name");
+      if (trailing()) return fail_trailing();
       if (graph.has_value()) return fail("duplicate 'graph' line");
       graph.emplace(name);
       continue;
@@ -76,16 +99,14 @@ ParseResult from_text(std::string_view text) {
     if (keyword == "vertex") {
       std::string name, delay;
       if (!(ls >> name >> delay)) return fail("expected: vertex <name> <delay>");
+      if (trailing()) return fail_trailing();
       if (names.count(name) != 0) return fail(cat("duplicate vertex '", name, "'"));
       Delay d = Delay::unbounded();
       if (delay != "unbounded") {
-        try {
-          const int cycles = std::stoi(delay);
-          if (cycles < 0) return fail("delay must be >= 0");
-          d = Delay::bounded(cycles);
-        } catch (const std::exception&) {
-          return fail(cat("bad delay '", delay, "'"));
-        }
+        const std::optional<int> cycles = parse_int(delay);
+        if (!cycles) return fail(cat("bad delay '", delay, "'"));
+        if (*cycles < 0) return fail("delay must be >= 0");
+        d = Delay::bounded(*cycles);
       }
       names[name] = graph->add_vertex(name, d);
       continue;
@@ -99,15 +120,19 @@ ParseResult from_text(std::string_view text) {
     if (ti == names.end()) return fail(cat("unknown vertex '", to, "'"));
 
     if (keyword == "seq") {
+      if (trailing()) return fail_trailing();
       graph->add_sequencing_edge(fi->second, ti->second);
     } else if (keyword == "min" || keyword == "max") {
-      int cycles = 0;
-      if (!(ls >> cycles)) return fail("expected a cycle count");
-      if (cycles < 0) return fail("constraint must be >= 0");
+      std::string bound;
+      if (!(ls >> bound)) return fail("expected a cycle count");
+      if (trailing()) return fail_trailing();
+      const std::optional<int> cycles = parse_int(bound);
+      if (!cycles) return fail(cat("bad cycle count '", bound, "'"));
+      if (*cycles < 0) return fail("constraint must be >= 0");
       if (keyword == "min") {
-        graph->add_min_constraint(fi->second, ti->second, cycles);
+        graph->add_min_constraint(fi->second, ti->second, *cycles);
       } else {
-        graph->add_max_constraint(fi->second, ti->second, cycles);
+        graph->add_max_constraint(fi->second, ti->second, *cycles);
       }
     } else {
       return fail(cat("unknown keyword '", keyword, "'"));

@@ -129,7 +129,7 @@ AttemptStatus attempt_graph(seq::SeqGraph& sg, GraphSynthesis& gs,
   // scheduler would hit. Advisory only -- findings never change the
   // synthesis outcome.
   if (options.lint) {
-    gs.lint_report = lint::analyze(gs.constraint_graph, options.lint_options);
+    gs.lint_report = lint::analyze(gs.constraint_graph);
   }
 
   // From here the synthesis session owns the graph and every derived

@@ -50,7 +50,6 @@ struct SynthesisOptions {
   /// GraphSynthesis::lint_report. Off by default: synthesis outcomes
   /// never depend on lint (the report is advisory).
   bool lint = false;
-  lint::Options lint_options;
 };
 
 enum class SynthesisStatus {

@@ -363,7 +363,8 @@ class SynthesisSession {
   /// derived products (anchor sets, path rows, offsets) may differ from
   /// the previous resolve. Vertices outside the cone are guaranteed
   /// unchanged. Meaningful only while last_resolve_was_warm() is true;
-  /// consumed by lint::IncrementalLinter to re-lint only the cone.
+  /// its size is the warm path's footprint (relbench's
+  /// engine.dirty_cone_vertices).
   [[nodiscard]] const std::vector<VertexId>& last_dirty_cone() const {
     return last_dirty_cone_;
   }
@@ -371,16 +372,6 @@ class SynthesisSession {
   /// Arms one fault to fire during the next resolve()/commit()
   /// (tests only; see FaultInjector). Overwrites any pending fault.
   void arm_fault(FaultInjector fault) { fault_ = fault; }
-
-  /// Total resolves served so far (cold + warm + cancelled): a cheap
-  /// monotone staleness token for consumers caching reports derived
-  /// from products (lint::IncrementalLinter, analyze::IncrementalAnalyzer)
-  /// -- their cone-scoped paths require exactly one warm resolve since
-  /// the cached report was built.
-  [[nodiscard]] long long resolve_count() const {
-    return static_cast<long long>(stats_.cold_resolves) +
-           stats_.warm_resolves + stats_.cancelled_resolves;
-  }
 
   /// Counters and timings. Returned by value: the fork counter is
   /// updated from const fork() calls and folded in here, and the

@@ -8,7 +8,6 @@
 #include "base/strings.hpp"
 #include "cg/longest_paths.hpp"
 #include "graph/algorithms.hpp"
-#include "lint/detail.hpp"
 #include "wellposed/wellposed.hpp"
 
 namespace relsched::lint {
@@ -62,10 +61,6 @@ Weight implied_path(const cg::ConstraintGraph& g, VertexId from, VertexId to,
   (void)cg::relax_edges(g, g.edges(), keep, dist);
   return dist[to.index()];
 }
-
-}  // namespace
-
-namespace detail {
 
 /// Is removing constraint edge `eid` provably schedule-preserving?
 ///
@@ -160,10 +155,6 @@ bool never_binding(const cg::ConstraintGraph& g,
   return sep < u;
 }
 
-}  // namespace detail
-
-namespace {
-
 /// Feasibility of `g` with the backward edges marked in `dropped`
 /// removed: no positive cycle in the remaining G0 (Theorem 1).
 bool feasible_without(const cg::ConstraintGraph& g,
@@ -177,64 +168,6 @@ bool feasible_without(const cg::ConstraintGraph& g,
   return !cg::relax_edges(g, g.edges(), kept, dist, {.probe = true})
               .positive_cycle;
 }
-
-}  // namespace
-
-namespace detail {
-
-Finding redundant_finding(const cg::ConstraintGraph& g,
-                          const RedundantEdge& r) {
-  const cg::Edge& e = g.edge(r.edge);
-  Finding f;
-  f.rule = e.kind == cg::EdgeKind::kMinConstraint
-               ? Rule::kRedundantMinConstraint
-               : Rule::kRedundantMaxConstraint;
-  f.severity = severity(f.rule);
-  f.message = cat(describe_edge(g, r.edge),
-                  " is implied by the remaining graph (strongest implying "
-                  "path has weight ",
-                  r.implied, "); removing it leaves the schedule unchanged");
-  f.suggestion = "remove the constraint (relsched lint --strip-redundant)";
-  f.vertices = {e.from, e.to};
-  f.edges = {r.edge};
-  return f;
-}
-
-Finding never_binding_finding(const cg::ConstraintGraph& g, EdgeId eid,
-                              Weight separation) {
-  const cg::Edge& e = g.edge(eid);
-  const int u = -e.fixed_weight;
-  Finding f;
-  f.rule = Rule::kNeverBindingMax;
-  f.severity = severity(f.rule);
-  f.message =
-      cat(describe_edge(g, eid), " can never be tight: the start-time "
-          "separation of its endpoints is at most ",
-          separation == kNegInf ? Weight{0} : separation,
-          " < ", u, " for every delay profile");
-  f.suggestion = "tighten the bound or drop the constraint";
-  f.vertices = {e.from, e.to};
-  f.edges = {eid};
-  return f;
-}
-
-Finding dead_anchor_finding(const cg::ConstraintGraph& g, VertexId anchor) {
-  Finding f;
-  f.rule = Rule::kDeadAnchor;
-  f.severity = severity(f.rule);
-  f.message = cat("anchor '", g.vertex(anchor).name,
-                  "' is irrelevant for the sink: no defining path reaches "
-                  "it, so this synchronization never delays completion");
-  f.suggestion =
-      "confirm the synchronization is intentional; it constrains only "
-      "internal operations";
-  f.vertices = {anchor};
-  return f;
-}
-
-}  // namespace detail
-
-namespace {
 
 using base::append_json_string;
 
@@ -384,7 +317,7 @@ std::vector<RedundantEdge> redundant_constraints(
   for (const cg::Edge& e : g.edges()) {
     if (e.kind == cg::EdgeKind::kSequencing) continue;
     Weight implied = kNegInf;
-    if (detail::edge_redundant(g, analysis, e.id, &implied)) {
+    if (edge_redundant(g, analysis, e.id, &implied)) {
       out.push_back({e.id, implied});
     }
   }
@@ -415,7 +348,7 @@ std::vector<StrippedEdge> strip_redundant(cg::ConstraintGraph& g) {
     // Re-verify against the partially stripped graph: of two mutually
     // implied duplicates, the first removal invalidates the second.
     Weight implied = kNegInf;
-    if (!detail::edge_redundant(g, analysis, c.edge, &implied)) continue;
+    if (!edge_redundant(g, analysis, c.edge, &implied)) continue;
     const cg::Edge& e = g.edge(c.edge);
     StrippedEdge s;
     s.kind = e.kind;
@@ -434,13 +367,8 @@ std::vector<StrippedEdge> strip_redundant(cg::ConstraintGraph& g) {
   return out;
 }
 
-Report analyze(const cg::ConstraintGraph& g, const Options& options) {
-  return analyze(g, nullptr, options);
-}
-
 Report analyze(const cg::ConstraintGraph& g,
-               const anchors::AnchorAnalysis* analysis,
-               const Options& options) {
+               const anchors::AnchorAnalysis* analysis) {
   Report report;
 
   // Structural validity gates everything: the downstream analyses
@@ -516,41 +444,67 @@ Report analyze(const cg::ConstraintGraph& g,
     report.findings.push_back(std::move(f));
   }
 
-  std::vector<RedundantEdge> redundant;
   std::vector<bool> is_redundant(static_cast<std::size_t>(g.edge_count()),
                                  false);
-  if (options.check_redundant) {
-    redundant = redundant_constraints(g, *analysis);
-    for (const RedundantEdge& r : redundant) {
-      is_redundant[r.edge.index()] = true;
-      report.findings.push_back(detail::redundant_finding(g, r));
-    }
+  for (const RedundantEdge& r : redundant_constraints(g, *analysis)) {
+    is_redundant[r.edge.index()] = true;
+    const cg::Edge& e = g.edge(r.edge);
+    Finding f;
+    f.rule = e.kind == cg::EdgeKind::kMinConstraint
+                 ? Rule::kRedundantMinConstraint
+                 : Rule::kRedundantMaxConstraint;
+    f.severity = severity(f.rule);
+    f.message = cat(describe_edge(g, r.edge),
+                    " is implied by the remaining graph (strongest implying "
+                    "path has weight ",
+                    r.implied, "); removing it leaves the schedule unchanged");
+    f.suggestion = "remove the constraint (relsched lint --strip-redundant)";
+    f.vertices = {e.from, e.to};
+    f.edges = {r.edge};
+    report.findings.push_back(std::move(f));
   }
 
   // Never-binding max constraints. Sound only on well-posed graphs:
   // the slack bound below needs A(tail) subset-of A(head) so that every
   // anchor the tail's start time can race on is tracked by the head.
-  if (options.check_never_binding && !ill_posed) {
+  if (!ill_posed) {
     for (const cg::Edge& e : g.edges()) {
       if (e.kind != cg::EdgeKind::kMaxConstraint) continue;
       if (is_redundant[e.id.index()]) continue;  // stronger finding exists
       Weight separation = kNegInf;
-      if (detail::never_binding(g, *analysis, e.id, &separation)) {
-        report.findings.push_back(
-            detail::never_binding_finding(g, e.id, separation));
-      }
+      if (!never_binding(g, *analysis, e.id, &separation)) continue;
+      const int u = -e.fixed_weight;
+      Finding f;
+      f.rule = Rule::kNeverBindingMax;
+      f.severity = severity(f.rule);
+      f.message =
+          cat(describe_edge(g, e.id), " can never be tight: the start-time "
+              "separation of its endpoints is at most ",
+              separation == kNegInf ? Weight{0} : separation,
+              " < ", u, " for every delay profile");
+      f.suggestion = "tighten the bound or drop the constraint";
+      f.vertices = {e.from, e.to};
+      f.edges = {e.id};
+      report.findings.push_back(std::move(f));
     }
   }
 
   // Anchor liveness: a non-source anchor with no defining path to the
   // sink never delays completion (R(sink), Definitions 8-9).
-  if (options.check_liveness) {
-    const VertexId sink = g.sink();
-    const auto relevant = analysis->relevant_set(sink);
-    for (const VertexId a : analysis->anchors()) {
-      if (a == g.source() || relevant.contains(a)) continue;
-      report.findings.push_back(detail::dead_anchor_finding(g, a));
-    }
+  const auto relevant = analysis->relevant_set(g.sink());
+  for (const VertexId a : analysis->anchors()) {
+    if (a == g.source() || relevant.contains(a)) continue;
+    Finding f;
+    f.rule = Rule::kDeadAnchor;
+    f.severity = severity(f.rule);
+    f.message = cat("anchor '", g.vertex(a).name,
+                    "' is irrelevant for the sink: no defining path reaches "
+                    "it, so this synchronization never delays completion");
+    f.suggestion =
+        "confirm the synchronization is intentional; it constrains only "
+        "internal operations";
+    f.vertices = {a};
+    report.findings.push_back(std::move(f));
   }
   return report;
 }

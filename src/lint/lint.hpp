@@ -87,12 +87,6 @@ struct Finding {
   certify::Diag diag;
 };
 
-struct Options {
-  bool check_redundant = true;
-  bool check_never_binding = true;
-  bool check_liveness = true;
-};
-
 struct Report {
   std::vector<Finding> findings;
 
@@ -102,18 +96,15 @@ struct Report {
   [[nodiscard]] int count(Severity s) const;
 };
 
-/// Runs every enabled rule. Safe on arbitrary graphs: structural
-/// invalidity and infeasibility short-circuit into their own findings
-/// (the downstream rules' preconditions fail, so they are skipped).
-[[nodiscard]] Report analyze(const cg::ConstraintGraph& g,
-                             const Options& options = {});
-
-/// Same, reusing a caller-owned anchor analysis (e.g. the engine's
-/// cached products) instead of recomputing one. `analysis` must have
-/// been computed for exactly `g`; pass nullptr to compute internally.
-[[nodiscard]] Report analyze(const cg::ConstraintGraph& g,
-                             const anchors::AnchorAnalysis* analysis,
-                             const Options& options);
+/// Runs every rule. Safe on arbitrary graphs: structural invalidity
+/// and infeasibility short-circuit into their own findings (the
+/// downstream rules' preconditions fail, so they are skipped).
+/// `analysis`, when given, is a caller-owned anchor analysis computed
+/// for exactly `g` (e.g. the engine's cached products) and is reused
+/// instead of recomputing one.
+[[nodiscard]] Report analyze(
+    const cg::ConstraintGraph& g,
+    const anchors::AnchorAnalysis* analysis = nullptr);
 
 // ---- Unsat-core extraction (deletion filter) ------------------------------
 

@@ -8,19 +8,16 @@
 //   2. Every critical-subgraph extraction certifies, across all
 //      verdicts the random population produces (ok / infeasible /
 //      ill-posed), and stays within the full design's size.
-//   3. IncrementalAnalyzer::reanalyze over random warm edit sequences
-//      is JSON-identical to a fresh analyze() of the edited graph, and
-//      actually exercises the cone path.
-//   4. Fault-injection fuzz: with the engine's FaultInjector arming
-//      every fault class, reanalyze never crashes, never contradicts
-//      the certified products, and never drifts from a fresh analyze.
+//   3. Fault-injection fuzz: with the engine's FaultInjector arming
+//      every fault class, analyze() over the session's certified
+//      products never crashes, never contradicts them, and never
+//      drifts from a from-scratch analyze().
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
 #include "analyze/analyze.hpp"
-#include "analyze/incremental.hpp"
 #include "engine/session.hpp"
 #include "sched/scheduler.hpp"
 #include "testutil.hpp"
@@ -187,37 +184,6 @@ TEST(PropertyAnalyzeExtract, EveryExtractionCertifies) {
   ASSERT_GT(illposed, 10);
 }
 
-TEST(PropertyAnalyzeIncremental, ReanalyzeMatchesFreshUnderRandomEdits) {
-  std::mt19937 rng(6060);
-  long long cone_analyses = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    RandomGraphParams params;
-    params.vertex_count = 8 + static_cast<int>(rng() % 8);
-    params.max_constraints = 2;
-    cg::ConstraintGraph g = random_constraint_graph(rng, params);
-    if (wellposed::make_wellposed(g).status != wellposed::Status::kWellPosed) {
-      continue;
-    }
-    engine::SynthesisSession session(std::move(g));
-    analyze::IncrementalAnalyzer analyzer;
-    for (int step = 0; step < 12; ++step) {
-      random_warm_edit(rng, session);
-      const analyze::Report& incremental = analyzer.reanalyze(session);
-      const engine::Products& products = session.products();
-      const analyze::Report fresh = analyze::analyze(
-          session.graph(), products.ok() ? &products.analysis : nullptr);
-      ASSERT_EQ(analyze::to_json(incremental, session.graph()),
-                analyze::to_json(fresh, session.graph()))
-          << "trial " << trial << " step " << step
-          << " warm=" << session.last_resolve_was_warm();
-    }
-    cone_analyses += analyzer.cone_analyses();
-  }
-  // The equality must have exercised the cone path, not just full
-  // fallbacks.
-  ASSERT_GT(cone_analyses, 20);
-}
-
 TEST(PropertyAnalyzeFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
   std::mt19937 rng(24681357);
   const engine::FaultInjector::Kind kinds[] = {
@@ -236,12 +202,13 @@ TEST(PropertyAnalyzeFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
     engine::SessionOptions options;
     options.certify = true;  // faults must be caught, not believed
     engine::SynthesisSession session(std::move(g), options);
-    analyze::IncrementalAnalyzer analyzer;
-    analyzer.reanalyze(session);
+    session.resolve();
     for (int step = 0; step < 6; ++step) {
       session.arm_fault({kinds[rng() % 4], rng()});
       random_warm_edit(rng, session);
-      const analyze::Report& report = analyzer.reanalyze(session);
+      const engine::Products& products = session.resolve();
+      const analyze::Report report = analyze::analyze(
+          session.graph(), products.ok() ? &products.analysis : nullptr);
       // The analyze verdict must agree with ground truth on the
       // graph's health, fault or no fault.
       const bool healthy =
@@ -250,9 +217,7 @@ TEST(PropertyAnalyzeFuzz, FaultInjectionNeverCrashesOrContradictsCertify) {
               wellposed::Status::kWellPosed;
       ASSERT_EQ(report.ok(), healthy)
           << analyze::render_text(report, session.graph(), 0);
-      const engine::Products& products = session.products();
-      const analyze::Report fresh = analyze::analyze(
-          session.graph(), products.ok() ? &products.analysis : nullptr);
+      const analyze::Report fresh = analyze::analyze(session.graph());
       ASSERT_EQ(analyze::to_json(report, session.graph()),
                 analyze::to_json(fresh, session.graph()));
     }

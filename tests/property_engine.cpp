@@ -467,6 +467,119 @@ TEST_P(EngineProperties, ParallelResolveMatchesSequentialUnderFaults) {
   EXPECT_GT(caught, 0) << "no injected fault was ever caught";
 }
 
+/// One vertex's products, copied out by value so that the next warm
+/// resolve's in-place patch cannot alias them.
+struct VertexProducts {
+  std::vector<VertexId> anchor_set, relevant_set, irredundant_set;
+  /// length(a, v) and |rho*(a, v)| per anchor, in anchors() order.
+  std::vector<graph::Weight> length, defining;
+  sched::OffsetMap offsets;
+};
+
+/// Offsets are copied only from ok() products; failure statuses carry
+/// no schedule.
+std::vector<VertexProducts> snapshot(const Products& p,
+                                     const cg::ConstraintGraph& g) {
+  std::vector<VertexProducts> out(static_cast<std::size_t>(g.vertex_count()));
+  for (int vi = 0; vi < g.vertex_count(); ++vi) {
+    const VertexId v(vi);
+    VertexProducts& s = out[v.index()];
+    for (const VertexId a : p.analysis.anchor_set(v)) s.anchor_set.push_back(a);
+    for (const VertexId a : p.analysis.relevant_set(v)) {
+      s.relevant_set.push_back(a);
+    }
+    for (const VertexId a : p.analysis.irredundant_set(v)) {
+      s.irredundant_set.push_back(a);
+    }
+    for (const VertexId a : p.analysis.anchors()) {
+      s.length.push_back(p.analysis.length(a, v));
+      s.defining.push_back(p.analysis.maximal_defining_path_length(a, v));
+    }
+    if (p.ok()) s.offsets = p.schedule.schedule.offsets(v);
+  }
+  return out;
+}
+
+// The dirty-cone contract behind SynthesisSession::last_dirty_cone():
+// after a warm resolve or a warm commit, every vertex outside the
+// published cone keeps its products bit-for-bit -- A, R and IR sets,
+// length and defining rows, and kFull offsets. The anchor patch relies
+// on it too: it re-derives IR only inside the cone.
+TEST_P(EngineProperties, NothingOutsideTheDirtyConeChanges) {
+  std::mt19937 rng(GetParam() * 40503u + 3u);
+  int warm_checks = 0;
+  long long outside = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    relsched::testing::RandomGraphParams params;
+    params.vertex_count = 10 + static_cast<int>(rng() % 14);
+    params.unbounded_fraction = 0.15 + 0.2 * (rng() % 3);
+    params.max_constraints = 1 + static_cast<int>(rng() % 3);
+    auto g = relsched::testing::random_constraint_graph(rng, params);
+    if (!g.validate().empty()) continue;
+    if (wellposed::make_wellposed(g).status != wellposed::Status::kWellPosed) {
+      continue;
+    }
+    SessionOptions opts;
+    opts.schedule_mode = anchors::AnchorMode::kFull;
+    SynthesisSession session(std::move(g), opts);
+    if (!session.resolve().ok()) continue;
+
+    for (int step = 0; step < 12; ++step) {
+      // The warm path only starts from ok() products; anything else
+      // resolves cold and publishes no cone.
+      const bool was_ok = session.products().ok();
+      const std::vector<VertexId> anchors_before =
+          session.products().analysis.anchors();
+      const std::vector<VertexProducts> before =
+          was_ok ? snapshot(session.products(), session.graph())
+                 : std::vector<VertexProducts>{};
+      // Every third step commits a multi-edit transaction (one merged
+      // cone); the rest resolve a single edit.
+      int applied = 0;
+      if (step % 3 == 2) {
+        session.begin_txn();
+        for (int j = 0; j < 3; ++j) {
+          applied += random_edit(session, rng) ? 1 : 0;
+        }
+        session.commit();
+      } else {
+        applied = random_edit(session, rng) ? 1 : 0;
+        session.resolve();
+      }
+      const Products& p = session.products();
+      if (applied == 0 || !was_ok || !session.last_resolve_was_warm() ||
+          p.schedule.status == sched::ScheduleStatus::kInfeasible ||
+          p.schedule.status == sched::ScheduleStatus::kInvalidGraph) {
+        continue;
+      }
+      ++warm_checks;
+      ASSERT_EQ(p.analysis.anchors(), anchors_before) << "step " << step;
+      const std::vector<VertexProducts> after = snapshot(p, session.graph());
+      std::vector<bool> in_cone(after.size(), false);
+      for (const VertexId v : session.last_dirty_cone()) {
+        in_cone[v.index()] = true;
+      }
+      for (std::size_t vi = 0; vi < after.size(); ++vi) {
+        if (in_cone[vi]) continue;
+        ++outside;
+        const VertexProducts& b = before[vi];
+        const VertexProducts& a = after[vi];
+        EXPECT_EQ(a.anchor_set, b.anchor_set) << "A(v" << vi << ")";
+        EXPECT_EQ(a.relevant_set, b.relevant_set) << "R(v" << vi << ")";
+        EXPECT_EQ(a.irredundant_set, b.irredundant_set) << "IR(v" << vi << ")";
+        EXPECT_EQ(a.length, b.length) << "length rows at v" << vi;
+        EXPECT_EQ(a.defining, b.defining) << "defining rows at v" << vi;
+        if (p.ok()) {
+          EXPECT_EQ(a.offsets, b.offsets) << "offsets(v" << vi << ")";
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(warm_checks, 40) << "too few warm resolves for seed " << GetParam();
+  EXPECT_GT(outside, 0) << "every cone covered the whole graph";
+}
+
 /// True when a forward path leads from `from` to `to` in `g`.
 bool forward_reaches(const cg::ConstraintGraph& g, VertexId from,
                      VertexId to) {

@@ -2,14 +2,12 @@
 // (src/analyze): exact slacks on the paper's Figure 2, hand-computed
 // slack values on a chain, verdict short-circuits, certified
 // extraction on all three failure-free/failing verdicts, renderers,
-// exit codes, and the incremental re-analysis path.
+// and exit codes.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "analyze/analyze.hpp"
-#include "analyze/incremental.hpp"
-#include "engine/session.hpp"
 #include "sched/scheduler.hpp"
 #include "testutil.hpp"
 
@@ -151,35 +149,6 @@ TEST(Analyze, RenderersAndJson) {
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"certified\": true"), std::string::npos) << json;
-}
-
-TEST(Analyze, IncrementalMatchesFreshAfterBoundEdit) {
-  Fig2Graph fig;
-  engine::SynthesisSession session(std::move(fig.g));
-  analyze::IncrementalAnalyzer analyzer;
-  const analyze::Report& first = analyzer.reanalyze(session);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(analyzer.full_analyses(), 1);
-
-  // Loosen the max constraint: a warm, bound-only edit.
-  const auto max_edge = [&] {
-    for (const cg::Edge& e : session.graph().edges()) {
-      if (e.kind == cg::EdgeKind::kMaxConstraint) return e.id;
-    }
-    return EdgeId::invalid();
-  }();
-  ASSERT_TRUE(max_edge.is_valid());
-  session.set_constraint_bound(max_edge, 3);
-  const analyze::Report& second = analyzer.reanalyze(session);
-  const analyze::Report fresh = analyze::analyze(session.graph());
-  EXPECT_EQ(analyze::to_json(second, session.graph()),
-            analyze::to_json(fresh, session.graph()));
-  // Cached result reused while nothing resolves in between.
-  const int full = analyzer.full_analyses();
-  const int cone = analyzer.cone_analyses();
-  analyzer.reanalyze(session);
-  EXPECT_EQ(analyzer.full_analyses(), full);
-  EXPECT_EQ(analyzer.cone_analyses(), cone);
 }
 
 }  // namespace

@@ -160,7 +160,10 @@ TEST(EngineFork, ForkResolvesItsOwnEditsWarmAndLeavesParentAlone) {
   EXPECT_EQ(fork.graph().revision(), parent.graph().revision());
   // Nothing pending on the fork: resolving it again is a cached no-op.
   fork.resolve();
-  EXPECT_EQ(fork.resolve_count(), 0);
+  const SessionStats stats = fork.stats();
+  EXPECT_EQ(stats.cold_resolves + stats.warm_resolves +
+                stats.cancelled_resolves,
+            0);
 
   // Only the fork's own edit is folded into its first resolve.
   fork.set_delay(v2, cg::Delay::bounded(3));

@@ -154,7 +154,10 @@ TEST(SessionStatsTest, ForkIsIndependentlyEditable) {
   // it is a cached no-op, not a recompute of the parent's history.
   EXPECT_EQ(fork.graph().revision(), parent.graph().revision());
   fork.resolve();
-  EXPECT_EQ(fork.resolve_count(), 0);
+  const SessionStats stats = fork.stats();
+  EXPECT_EQ(stats.cold_resolves + stats.warm_resolves +
+                stats.cancelled_resolves,
+            0);
 
   // Forks fork: a fork is a full session.
   const EdgeId max_edge = find_max_edge(fork.graph());

@@ -107,6 +107,37 @@ TEST(GraphIo, ErrorsNameTheLine) {
       from_text("graph g\nvertex a 0\nvertex b 0\nmin a b -1\n").ok());
 }
 
+// Every item has a fixed arity and numeric fields are whole tokens:
+// trailing tokens and non-numeric suffixes are errors naming the line,
+// not silently dropped.
+TEST(GraphIo, RejectsTrailingTokensAndNumericSuffixes) {
+  const std::string header = "graph g\nvertex src 0\nvertex a 1\n";
+  const struct {
+    std::string text;
+    std::string line;
+  } cases[] = {
+      {"graph g extra\n", "line 1"},
+      {"graph g\nvertex a 3abc\n", "line 2"},
+      {"graph g\nvertex a 3 extra\n", "line 2"},
+      {"graph g\nvertex a unbounded extra\n", "line 2"},
+      {header + "seq src a junk\n", "line 4"},
+      {header + "min src a 2x\n", "line 4"},
+      {header + "max src a 4 5\n", "line 4"},
+      {header + "max src a 0x4\n", "line 4"},
+  };
+  for (const auto& c : cases) {
+    const ParseResult parsed = from_text(c.text);
+    EXPECT_FALSE(parsed.ok()) << c.text;
+    EXPECT_EQ(parsed.error.rfind(c.line + ": ", 0), 0u)
+        << c.text << " -> " << parsed.error;
+  }
+  // The same lines without the junk still parse.
+  const ParseResult clean =
+      from_text(header + "seq src a\nmin src a 2\nmax src a 4 # note\n");
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  EXPECT_EQ(clean.graph->edge_count(), 3);
+}
+
 TEST(GraphIo, CommentsAndBlankLinesIgnored)
 {
   const auto parsed = from_text(

@@ -1,9 +1,9 @@
 // Unit and golden tests for the static design analyzer (src/lint):
 // rule-by-rule verdicts on hand-built graphs, unsat-core extraction
 // with independent witness replay, strip_redundant schedule identity,
-// renderers, exit codes, the synthesis-pipeline integration, and the
-// incremental re-lint path. The paper-suite golden cases pin the
-// analyzer's output on the designs the paper evaluates.
+// renderers, exit codes, and the synthesis-pipeline integration. The
+// paper-suite golden cases pin the analyzer's output on the designs the
+// paper evaluates.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,8 +11,6 @@
 
 #include "designs/designs.hpp"
 #include "driver/synthesis.hpp"
-#include "engine/session.hpp"
-#include "lint/incremental.hpp"
 #include "lint/lint.hpp"
 #include "sched/scheduler.hpp"
 #include "testutil.hpp"
@@ -117,14 +115,6 @@ TEST(Lint, DeadAnchorBehindAnotherAnchor) {
   ASSERT_EQ(f.vertices.size(), 1u);
   EXPECT_EQ(f.vertices.front(), a);
   EXPECT_NE(f.message.find("'a'"), std::string::npos);
-}
-
-TEST(Lint, OptionsDisableIndividualRules) {
-  const Fig2Graph fig;
-  lint::Options options;
-  options.check_redundant = false;
-  const lint::Report report = lint::analyze(fig.g, options);
-  EXPECT_EQ(report.count(lint::Rule::kRedundantMinConstraint), 0);
 }
 
 // ---- Unsat cores ----------------------------------------------------------
@@ -372,53 +362,6 @@ TEST(LintGolden, SeededRedundancyIsDetectedInSuiteGraphs) {
   auto ids = rule_ids(seeded);
   ids.erase("redundant-min-constraint");
   EXPECT_EQ(ids, baseline);  // no collateral findings
-}
-
-// ---- Incremental re-lint --------------------------------------------------
-
-TEST(LintIncremental, WarmEditsTakeTheConePath) {
-  Fig2Graph fig;
-  engine::SynthesisSession session(fig.g);
-  lint::IncrementalLinter linter;
-
-  const lint::Report& first = linter.relint(session);
-  EXPECT_EQ(linter.full_lints(), 1);
-  EXPECT_EQ(first.count(lint::Rule::kRedundantMinConstraint), 1);
-
-  // No edits: the cached report is returned as-is.
-  linter.relint(session);
-  EXPECT_EQ(linter.full_lints(), 1);
-  EXPECT_EQ(linter.cone_lints(), 0);
-
-  // A constraint-only edit resolves warm; the relint must be cone-scoped
-  // and agree with a fresh full analyze of the edited graph.
-  session.set_constraint_bound(EdgeId(7), 3);  // max v1 -> v2: 2 -> 3
-  const lint::Report& second = linter.relint(session);
-  EXPECT_TRUE(session.last_resolve_was_warm());
-  EXPECT_EQ(linter.cone_lints(), 1);
-  const lint::Report fresh = lint::analyze(session.graph());
-  EXPECT_EQ(lint::render_text(second, session.graph()),
-            lint::render_text(fresh, session.graph()));
-  EXPECT_EQ(second.count(lint::Rule::kNeverBindingMax), 1);
-}
-
-TEST(LintIncremental, ColdResolveFallsBackToFullLint) {
-  Fig2Graph fig;
-  engine::SynthesisSession session(fig.g);
-  lint::IncrementalLinter linter;
-  linter.relint(session);
-  // Structural edit (new vertex + sequencing edge) forces a cold
-  // resolve; the linter must notice and run a full pass.
-  cg::ConstraintGraph& g = session.mutable_graph();
-  const VertexId extra = g.add_vertex("extra", cg::Delay::bounded(1));
-  g.add_sequencing_edge(fig.v3, extra);
-  g.add_sequencing_edge(extra, fig.v4);
-  const lint::Report& report = linter.relint(session);
-  EXPECT_EQ(linter.full_lints(), 2);
-  EXPECT_EQ(linter.cone_lints(), 0);
-  const lint::Report fresh = lint::analyze(session.graph());
-  EXPECT_EQ(lint::render_text(report, session.graph()),
-            lint::render_text(fresh, session.graph()));
 }
 
 }  // namespace
